@@ -118,18 +118,23 @@ main(int argc, char **argv)
         static_cast<std::uint64_t>(cores) * instrPerCore * 2;
 
     // Walk results in the suite's documented order: class-major,
-    // scheme-minor (docs/RUNNER.md).
+    // scheme-minor (docs/RUNNER.md). Results are keyed by job label,
+    // not position, because --scheme drops jobs from the sweep.
+    std::map<std::string, const runner::SweepRunResult *> byLabel;
+    for (const runner::SweepRunResult &r : results)
+        byLabel[r.report.label] = &r;
     std::vector<RunRecord> runs;
     std::map<std::string, std::pair<std::uint64_t, double>> perClass;
     std::map<std::string, std::pair<std::uint64_t, double>> perScheme;
     std::uint64_t totalInstr = 0;
     double totalWall = 0;
-    std::size_t idx = 0;
     for (const auto &[klass, workload] : runner::throughputReps()) {
         for (const SchemeKind k : runner::allSchemeKinds()) {
-            const runner::SweepRunResult &r = results.at(idx++);
-            if (!r.ok())
+            const auto it = byLabel.find(
+                std::string(schemeKindName(k)) + "/" + workload);
+            if (it == byLabel.end() || !it->second->ok())
                 continue;
+            const runner::SweepRunResult &r = *it->second;
             RunRecord rec;
             rec.scheme = schemeKindName(k);
             rec.workload = workload;
