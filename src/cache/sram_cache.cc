@@ -38,6 +38,7 @@ SramCache::SramCache(Simulation &sim, const std::string &name,
     reg.add(&missLatency);
 
     wakeIdx_ = sim.addClocked(this, 1);
+    sendWaiter_.bind(sim, wakeIdx_);
 }
 
 SramCache::Line *
@@ -91,7 +92,7 @@ SramCache::allocMshr(MemSpace space, Addr block)
 }
 
 bool
-SramCache::tryAccess(const MemRequestPtr &req)
+SramCache::tryAccess(const MemRequestPtr &req, PortWaiter *waiter)
 {
     sim_.pokeClocked(wakeIdx_);
     const Tick now = curTick();
@@ -113,8 +114,10 @@ SramCache::tryAccess(const MemRequestPtr &req)
 
     if (req->isWrite && req->fullLine && !inflight) {
         // A full-line writeback from the level above: install directly
-        // without fetching the stale copy from below.
+        // without fetching the stale copy from below. A parked sender
+        // of this block can now hit.
         installLine(space, block, true);
+        waiters_.wakeAll();
         ++hits;
         req->complete(now + params_.hitLatency);
         return true;
@@ -123,6 +126,7 @@ SramCache::tryAccess(const MemRequestPtr &req)
     if (Mshr *mshr = inflight) {
         if (mshr->targets.size() >= params_.targetsPerMshr) {
             ++rejects;
+            waiters_.park(waiter);
             return false;
         }
         mshr->targets.push_back(req);
@@ -135,6 +139,7 @@ SramCache::tryAccess(const MemRequestPtr &req)
     Mshr *mshr = allocMshr(space, block);
     if (!mshr) {
         ++rejects;
+        waiters_.park(waiter);
         return false;
     }
     ++misses;
@@ -176,6 +181,8 @@ SramCache::handleFill(Mshr *mshr, Tick when)
     mshr->targets.clear();
     mshr->valid = false;
     --activeMshrs_;
+    // A free MSHR (and the installed line) can admit a parked sender.
+    waiters_.wakeAll();
 }
 
 void
@@ -222,7 +229,7 @@ SramCache::installLine(MemSpace space, Addr block, bool dirty)
 void
 SramCache::pushDownstream(const MemRequestPtr &req)
 {
-    if (sendQ_.empty() && downstream_->tryAccess(req))
+    if (sendQ_.empty() && downstream_->tryAccess(req, &sendWaiter_))
         return;
     sendQ_.push_back(req);
 }
@@ -230,8 +237,12 @@ SramCache::pushDownstream(const MemRequestPtr &req)
 void
 SramCache::tick()
 {
-    while (!sendQ_.empty() && downstream_->tryAccess(sendQ_.front()))
+    if (sendWaiter_.blocked())
+        return; // Parked until the downstream wakes the queue head.
+    while (!sendQ_.empty() &&
+           downstream_->tryAccess(sendQ_.front(), &sendWaiter_)) {
         sendQ_.pop_front();
+    }
 }
 
 std::uint32_t
@@ -262,6 +273,10 @@ SramCache::invalidateRange(MemSpace space, Addr base, std::uint64_t len)
         }
     }
     invalidations += killed;
+    // A discarded MSHR no longer refuses merges into it, and the range
+    // usually follows a remap that changes the address a parked core
+    // would retry with.
+    waiters_.wakeAll();
     return killed;
 }
 

@@ -22,6 +22,7 @@
 #include "sim/flat_map.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
+#include "sim/waiter.hh"
 
 namespace nomad
 {
@@ -53,22 +54,27 @@ class SramCache : public SimObject, public Clocked, public MemPort
 
     /**
      * Service a request. Returns false when the cache cannot take it
-     * this cycle (MSHRs or merge targets exhausted); callers retry.
+     * (MSHRs or merge targets exhausted) and parks @p waiter until a
+     * fill, a full-line install or a range invalidation could let a
+     * retry through.
      */
-    bool tryAccess(const MemRequestPtr &req) override;
+    bool tryAccess(const MemRequestPtr &req,
+                   PortWaiter *waiter) override;
 
-    /** Retry blocked downstream traffic. */
+    /** Retry the downstream send queue once woken. */
     void tick() final;
 
     /**
      * Skip-ahead hook: tick() only retries the downstream send queue,
      * so an empty queue means nothing to do until some access path
-     * refills it (always from another component's tick or an event).
+     * refills it (always from another component's tick or an event),
+     * and a parked head waits for its downstream wake.
      */
     Tick
     nextWorkTick() const
     {
-        return sendQ_.empty() ? MaxTick : Tick(0);
+        return sendQ_.empty() || sendWaiter_.blocked() ? MaxTick
+                                                       : Tick(0);
     }
 
     bool
@@ -89,6 +95,9 @@ class SramCache : public SimObject, public Clocked, public MemPort
     /** True when the block currently resides in the cache. */
     bool isCached(MemSpace space, Addr addr) const;
 
+    /** Upstream senders parked on this cache (drain audit: 0). */
+    std::size_t parkedSenders() const { return waiters_.parked(); }
+
     const CacheParams &params() const { return params_; }
 
     // Statistics --------------------------------------------------------
@@ -96,7 +105,7 @@ class SramCache : public SimObject, public Clocked, public MemPort
     stats::Scalar misses;
     stats::Scalar missesMerged;   ///< Requests merged into a live MSHR.
     stats::Scalar writebacks;
-    stats::Scalar rejects;        ///< Backpressure events.
+    stats::Scalar rejects;        ///< Refused access attempts.
     stats::Scalar invalidations;  ///< Lines killed by invalidateRange.
     stats::Average missLatency;   ///< Allocate-to-fill (CPU ticks).
 
@@ -173,6 +182,10 @@ class SramCache : public SimObject, public Clocked, public MemPort
 
     /** Downstream requests awaiting acceptance (fills, writebacks). */
     std::deque<MemRequestPtr> sendQ_;
+    /** Parks the send queue's refused head on its downstream. */
+    PortWaiter sendWaiter_;
+    /** Upstream senders this cache refused. */
+    WaiterList waiters_;
     /** This cache's clocked-component handle (for pokeClocked). */
     Simulation::ClockedHandle wakeIdx_ = Simulation::InvalidClockedHandle;
 };

@@ -39,6 +39,7 @@ Core::Core(Simulation &sim, const std::string &name, int core_id,
     reg.add(&mispredicts);
 
     wakeIdx_ = sim.addClocked(this, 1);
+    l1Waiter_.bind(sim, wakeIdx_);
 }
 
 Core::RobEntry *
@@ -111,8 +112,8 @@ Core::nextWorkTick() const
 {
     if (done())
         return MaxTick;
-    if (!issueQueue_.empty())
-        return 0; // L1 backpressure retry pending.
+    if (!issueQueue_.empty() && !l1Waiter_.blocked())
+        return 0; // Issue due (a parked head waits for its wake).
     if (!rob_.empty() && rob_.front().complete)
         return 0; // Retirement due this cycle.
     if (inHandler_ || rob_.size() >= params_.windowSize)
@@ -288,6 +289,8 @@ Core::finishTranslation(std::uint64_t seq, Pte *pte, Tick extra)
 void
 Core::tryIssuePending()
 {
+    if (l1Waiter_.blocked())
+        return; // Parked until the L1 or a remap wakes the head.
     while (!issueQueue_.empty()) {
         auto [seq, pte] = issueQueue_.front();
         RobEntry *e = entryFor(seq);
@@ -310,8 +313,10 @@ Core::tryIssuePending()
                 },
                 coreId_);
         }
-        if (!l1_.tryAccess(req))
-            return; // Retry next cycle.
+        if (!l1_.tryAccess(req, &l1Waiter_)) {
+            pageTable_.remapWaiters().park(&l1Waiter_);
+            return;
+        }
         issueQueue_.pop_front();
         if (e->isWrite) {
             // Posted store: retires without waiting for the data path.

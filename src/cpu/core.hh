@@ -28,6 +28,7 @@
 #include "sim/rng.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
+#include "sim/waiter.hh"
 #include "vm/page_table.hh"
 #include "vm/tlb.hh"
 #include "workload/workload.hh"
@@ -213,6 +214,12 @@ class Core : public SimObject, public Clocked
 
     /** Translated entries waiting for the L1 to accept them. */
     std::deque<std::pair<std::uint64_t, Pte *>> issueQueue_;
+    /**
+     * Parks the refused issue-queue head on the L1 and on the page
+     * table's remap list (a retry recomputes the address from the
+     * PTE, so a remap can let it through as well).
+     */
+    PortWaiter l1Waiter_;
 
     /** Misprediction bubble: no dispatch until this tick. */
     Tick fetchStallUntil_ = 0;

@@ -63,29 +63,32 @@ DramChannel::DramChannel(Simulation &sim, const std::string &name,
                            timing.ranksPerChannel) *
                            timing.banksPerRank(),
                        0);
+    writeBlocks_.reserve(timing.writeQueueDepth);
     wakeIdx_ = sim.addClocked(this, timing.clkRatio);
 }
 
 bool
-DramChannel::enqueue(const MemRequestPtr &req, const DramCoord &coord)
+DramChannel::enqueue(const MemRequestPtr &req, const DramCoord &coord,
+                     PortWaiter *waiter)
 {
     sim_.pokeClocked(wakeIdx_);
     const Tick now = curTick();
     const Addr block = blockAlign(req->addr);
+    const bool queued_write = writeBlocks_.find(block) != nullptr;
 
     if (req->isWrite) {
         // Merge with an already-queued write to the same block.
-        for (auto &e : writeQ_) {
-            if (e.block == block) {
-                ++stats_.mergedWrites;
-                stats_.addTraffic(req->category, true, BlockBytes);
-                ++stats_.writeReqs;
-                req->complete(now);
-                return true;
-            }
+        if (queued_write) {
+            ++stats_.mergedWrites;
+            stats_.addTraffic(req->category, true, BlockBytes);
+            ++stats_.writeReqs;
+            req->complete(now);
+            return true;
         }
-        if (writeQ_.size() >= timing_.writeQueueDepth)
+        if (writeQ_.size() >= timing_.writeQueueDepth) {
+            writeWaiters_.park(waiter);
             return false;
+        }
         QEntry entry;
         entry.req = req;
         entry.coord = coord;
@@ -95,30 +98,35 @@ DramChannel::enqueue(const MemRequestPtr &req, const DramCoord &coord)
             coord.rank * timing_.banksPerRank() + entry.flatBank;
         entry.enqueued = now;
         writeQ_.push_back(std::move(entry));
+        writeBlocks_.insert(block, true);
         setWake(0);
         ++stats_.writeReqs;
         stats_.addTraffic(req->category, true, BlockBytes);
+        // A parked read of this block can now forward, and a parked
+        // write of it can merge.
+        readWaiters_.wakeAll();
+        writeWaiters_.wakeAll();
         // Posted write: signal acceptance immediately.
         req->complete(now);
         return true;
     }
 
     // Read: forward from a queued write if the data is newer here.
-    for (const auto &e : writeQ_) {
-        if (e.block == block) {
-            ++stats_.forwards;
-            ++stats_.readReqs;
-            stats_.readLatency.sample(1.0);
-            // Completion on the next CPU tick keeps callback ordering
-            // out of the caller's stack frame.
-            auto r = req;
-            const Tick done = now + 1;
-            schedule(1, [r, done]() { r->complete(done); });
-            return true;
-        }
+    if (queued_write) {
+        ++stats_.forwards;
+        ++stats_.readReqs;
+        stats_.readLatency.sample(1.0);
+        // Completion on the next CPU tick keeps callback ordering
+        // out of the caller's stack frame.
+        auto r = req;
+        const Tick done = now + 1;
+        schedule(1, [r, done]() { r->complete(done); });
+        return true;
     }
-    if (readQ_.size() >= timing_.readQueueDepth)
+    if (readQ_.size() >= timing_.readQueueDepth) {
+        readWaiters_.park(waiter);
         return false;
+    }
     QEntry entry;
     entry.req = req;
     entry.coord = coord;
@@ -266,6 +274,10 @@ DramChannel::tryIssueCas(std::deque<QEntry> &queue, bool is_write,
         if (canCasLocal(*it, is_write, now)) {
             QEntry entry = std::move(*it);
             queue.erase(it);
+            if (is_write)
+                writeBlocks_.erase(entry.block);
+            // The freed slot can admit a parked sender.
+            (is_write ? writeWaiters_ : readWaiters_).wakeAll();
             issueCas(std::move(entry), is_write, now);
             return true;
         }

@@ -21,7 +21,9 @@
 #include "dram/stats.hh"
 #include "dram/timing.hh"
 #include "mem/request.hh"
+#include "sim/flat_map.hh"
 #include "sim/simulation.hh"
+#include "sim/waiter.hh"
 
 namespace nomad
 {
@@ -36,13 +38,17 @@ class DramChannel : public SimObject
 
     /**
      * Offer a request to this channel. Returns false when the relevant
-     * queue is full. Writes complete (posted) on acceptance; reads that
-     * hit a queued write are forwarded without a DRAM access.
-     * @p coord is the request's pre-decoded address (the device
-     * already decoded it to route here; re-decoding per queue entry
-     * was a measurable slice of simulation time).
+     * queue is full, parking @p waiter until a retry could succeed: a
+     * slot of that queue frees at CAS issue, or a newly queued write
+     * could forward to the read or absorb the write. Writes complete
+     * (posted) on acceptance; reads that hit a queued write are
+     * forwarded without a DRAM access. @p coord is the request's
+     * pre-decoded address (the device already decoded it to route
+     * here; re-decoding per queue entry was a measurable slice of
+     * simulation time).
      */
-    bool enqueue(const MemRequestPtr &req, const DramCoord &coord);
+    bool enqueue(const MemRequestPtr &req, const DramCoord &coord,
+                 PortWaiter *waiter);
 
     /** Advance one controller cycle. */
     void tick();
@@ -66,6 +72,13 @@ class DramChannel : public SimObject
 
     std::size_t readQueueSize() const { return readQ_.size(); }
     std::size_t writeQueueSize() const { return writeQ_.size(); }
+
+    /** Senders parked on a full queue (drain audit: 0). */
+    std::size_t
+    parkedSenders() const
+    {
+        return readWaiters_.parked() + writeWaiters_.parked();
+    }
 
   private:
     struct QEntry
@@ -141,6 +154,15 @@ class DramChannel : public SimObject
     std::vector<RankState> ranks_;
     std::deque<QEntry> readQ_;
     std::deque<QEntry> writeQ_;
+    /**
+     * Blocks with a queued write. Merging keeps at most one queued
+     * write per block, so presence answers the merge and forward
+     * checks without scanning writeQ_.
+     */
+    FlatMap<bool> writeBlocks_;
+    /** Senders refused by a full read / write queue. */
+    WaiterList readWaiters_;
+    WaiterList writeWaiters_;
 
     /** Data bus occupancy (end of the latest scheduled burst). */
     Tick busBusyUntil_ = 0;

@@ -22,12 +22,12 @@ DramDevice::DramDevice(Simulation &sim, const std::string &name,
 }
 
 bool
-DramDevice::tryAccess(const MemRequestPtr &req)
+DramDevice::tryAccess(const MemRequestPtr &req, PortWaiter *waiter)
 {
     const auto coord = decodeAddress(req->addr, timing_, mapping_);
     panic_if(coord.channel >= channels_.size(),
              "bad channel decode for addr ", req->addr);
-    return channels_[coord.channel]->enqueue(req, coord);
+    return channels_[coord.channel]->enqueue(req, coord, waiter);
 }
 
 } // namespace nomad

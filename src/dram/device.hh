@@ -41,8 +41,12 @@ class DramDevice : public SimObject, public MemPort
                const DramTiming &timing,
                MappingScheme mapping = MappingScheme::Co1ChBgBaCoRaRo);
 
-    /** Route @p req to its channel; false when that channel is full. */
-    bool tryAccess(const MemRequestPtr &req) override;
+    /**
+     * Route @p req to its channel; false when that channel is full,
+     * with @p waiter parked on the refusing channel's queue.
+     */
+    bool tryAccess(const MemRequestPtr &req,
+                   PortWaiter *waiter) override;
 
     /** True when every channel's queues are drained. */
     bool
@@ -75,6 +79,16 @@ class DramDevice : public SimObject, public MemPort
         std::size_t total = 0;
         for (const auto &ch : channels_)
             total += ch->readQueueSize();
+        return total;
+    }
+
+    /** Senders parked on a full channel queue (drain audit: 0). */
+    std::size_t
+    parkedSenders() const
+    {
+        std::size_t total = 0;
+        for (const auto &ch : channels_)
+            total += ch->parkedSenders();
         return total;
     }
 

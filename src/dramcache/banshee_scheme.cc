@@ -72,7 +72,7 @@ BansheeScheme::firstPte(PageNum pfn)
 }
 
 bool
-BansheeScheme::tryAccess(const MemRequestPtr &req)
+BansheeScheme::tryAccess(const MemRequestPtr &req, PortWaiter *waiter)
 {
     trackDemandRead(req);
     if (req->space == MemSpace::OnPackage) {
@@ -80,16 +80,16 @@ BansheeScheme::tryAccess(const MemRequestPtr &req)
         // hit is one on-package access with no tag traffic — but the
         // back-end must verify no copy holds the frame (it never does:
         // PTEs repoint only at commit; keep the check as an invariant).
-        if (!onPackage_->tryAccess(req))
+        if (!onPackage_->tryAccess(req, waiter))
             return false;
         if (req->isWrite)
             noteNearWrite(pageOf(req->addr));
         return true;
     }
-    if (!offPackage_.tryAccess(req))
+    if (!offPackage_.tryAccess(req, waiter))
         return false;
     // Frequency sampling happens only once the device accepts, so
-    // rejected-and-retried accesses are not double-counted.
+    // refused-and-retried accesses are not double-counted.
     if (req->category == Category::Demand)
         onFarAccess(pageOf(req->addr), req->isWrite);
     return true;
@@ -250,6 +250,7 @@ BansheeScheme::reclaimFrame(PageNum cfn)
         pte->cached = false;
         pte->frame = pfn;
     }
+    pageTable_.remapped();
     pageTable_.ppd(pfn).cached = false;
     // Stale SRAM lines keyed by the frame address would alias the
     // next occupant; flush them, as a real remap invalidates.
@@ -310,6 +311,7 @@ BansheeScheme::finishFill(PageNum pfn)
         pte->cached = true;
         pte->frame = ctx.cfn;
     }
+    pageTable_.remapped();
     pageTable_.ppd(pfn).cached = true;
     if (flushHook_) {
         sramFlushes += static_cast<double>(

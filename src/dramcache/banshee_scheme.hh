@@ -76,7 +76,8 @@ class BansheeScheme : public DramCacheScheme
         return (pte.frame << PageShift) | pageOffset(vaddr);
     }
 
-    bool tryAccess(const MemRequestPtr &req) override;
+    bool tryAccess(const MemRequestPtr &req,
+                   PortWaiter *waiter) override;
 
     bool
     quiesced() const override

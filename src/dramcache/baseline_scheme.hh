@@ -27,12 +27,12 @@ class BaselineScheme : public DramCacheScheme
     SchemeKind kind() const override { return SchemeKind::Baseline; }
 
     bool
-    tryAccess(const MemRequestPtr &req) override
+    tryAccess(const MemRequestPtr &req, PortWaiter *waiter) override
     {
         panic_if(req->space != MemSpace::OffPackage,
                  "baseline received an on-package request");
         trackDemandRead(req);
-        return offPackage_.tryAccess(req);
+        return offPackage_.tryAccess(req, waiter);
     }
 };
 

@@ -50,12 +50,12 @@ class IdealScheme : public OsManagedScheme
     SchemeKind kind() const override { return SchemeKind::Ideal; }
 
     bool
-    tryAccess(const MemRequestPtr &req) override
+    tryAccess(const MemRequestPtr &req, PortWaiter *waiter) override
     {
         trackDemandRead(req);
         if (req->space == MemSpace::OnPackage)
-            return onPackage_->tryAccess(req);
-        return offPackage_.tryAccess(req);
+            return onPackage_->tryAccess(req, waiter);
+        return offPackage_.tryAccess(req, waiter);
     }
 
     /** Pages copied in (each 4KB of would-be fill traffic). */

@@ -44,6 +44,7 @@ LineCacheScheme::LineCacheScheme(Simulation &sim,
     reg.add(&rejects);
 
     wakeIdx_ = sim.addClocked(this, 1);
+    pump_.bind(sim, wakeIdx_);
 }
 
 LineCacheScheme::Mshr *
@@ -101,7 +102,7 @@ LineCacheScheme::serviceHit(const MemRequestPtr &req, std::uint64_t set,
     demand->onComplete = [original](Tick when) {
         original->complete(when);
     };
-    if (!onPackage_->tryAccess(demand))
+    if (!onPackage_->tryAccess(demand, pump_.waiter()))
         return false;
     e.lastUse = ++useCounter_;
     if (req->isWrite)
@@ -113,9 +114,9 @@ LineCacheScheme::serviceHit(const MemRequestPtr &req, std::uint64_t set,
 }
 
 bool
-LineCacheScheme::tryAccess(const MemRequestPtr &req)
+LineCacheScheme::tryAccess(const MemRequestPtr &req, PortWaiter *waiter)
 {
-    sim_.pokeClocked(wakeIdx_);
+    touch();
     panic_if(req->space != MemSpace::OffPackage,
              name_, " expects physical-address traffic");
     trackDemandRead(req);
@@ -124,6 +125,7 @@ LineCacheScheme::tryAccess(const MemRequestPtr &req)
         // request back into the LLC's (FIFO) send path.
         if (pendingQ_.size() >= params_.controllerQueueDepth) {
             ++rejects;
+            waiters_.park(waiter);
             return false;
         }
         pendingQ_.push_back(req);
@@ -219,7 +221,7 @@ LineCacheScheme::issueFetch(std::size_t slot)
                            [this, slot, gen](Tick when) {
                                onFetchArrive(slot, gen, when);
                            });
-    if (!offPackage_.tryAccess(req)) {
+    if (!offPackage_.tryAccess(req, pump_.waiter())) {
         m.state = FetchState::Fetch;
         setBlocked(m, true);
         return;
@@ -232,7 +234,7 @@ void
 LineCacheScheme::onFetchArrive(std::size_t slot, std::uint64_t gen,
                                Tick when)
 {
-    sim_.pokeClocked(wakeIdx_);
+    touch();
     Mshr &m = mshrs_[slot];
     if (!m.valid || m.generation != gen)
         return;
@@ -253,7 +255,7 @@ LineCacheScheme::tryInstall(std::size_t slot)
     auto wr = makeRequest(hbmAddrOf(m.set, m.way), true,
                           Category::Fill, MemSpace::OnPackage,
                           curTick());
-    if (!onPackage_->tryAccess(wr)) {
+    if (!onPackage_->tryAccess(wr, pump_.waiter())) {
         setBlocked(m, true);
         return;
     }
@@ -279,23 +281,27 @@ LineCacheScheme::pumpWriteback(WritebackJob &job)
         auto req = makeRequest(
             job.hbmLineAddr, false, Category::Writeback,
             MemSpace::OnPackage, curTick(), [this, id](Tick) {
-                sim_.pokeClocked(wakeIdx_);
+                touch();
                 // Look up by id: the job vector may have reallocated.
                 if (WritebackJob *j = findWriteback(id)) {
                     j->readDone = true;
                     j->readInFlight = false;
                 }
             });
-        if (onPackage_->tryAccess(req))
+        if (onPackage_->tryAccess(req, pump_.waiter())) {
             job.readInFlight = true;
+            pump_.progress();
+        }
         return;
     }
     if (job.readDone) {
         auto wr = makeRequest(job.ddrLineAddr, true,
                               Category::Writeback, MemSpace::OffPackage,
                               curTick());
-        if (offPackage_.tryAccess(wr))
+        if (offPackage_.tryAccess(wr, pump_.waiter())) {
             job.id = 0; // Done marker; reaped by tick().
+            pump_.progress();
+        }
     }
 }
 
@@ -311,8 +317,14 @@ LineCacheScheme::findWriteback(std::uint64_t id)
 void
 LineCacheScheme::tick()
 {
-    while (!pendingQ_.empty() && attemptAccess(pendingQ_.front()))
+    if (pump_.asleep())
+        return; // The pass below is a proven no-op until woken.
+    pump_.beginPass();
+    while (!pendingQ_.empty() && attemptAccess(pendingQ_.front())) {
         pendingQ_.pop_front();
+        pump_.progress();
+        waiters_.wakeAll();
+    }
     // Only backpressured MSHRs are re-pumped: everything else drives
     // itself forward from the fetch-arrival callback.
     for (std::size_t i = 0; i < mshrs_.size(); ++i) {
@@ -332,6 +344,9 @@ LineCacheScheme::tick()
         case FetchState::InFlight:
             break;
         }
+        // Only an accepted request clears the blocked flag.
+        if (!m.blocked)
+            pump_.progress();
     }
     for (auto it = writebackJobs_.begin();
          it != writebackJobs_.end();) {
@@ -341,6 +356,7 @@ LineCacheScheme::tick()
         else
             ++it;
     }
+    pump_.endPass();
 }
 
 void
@@ -354,6 +370,9 @@ LineCacheScheme::checkDrained() const
     NOMAD_CHECK(*this, pendingQ_.empty(),
                 "DC controller leak: ", pendingQ_.size(),
                 " accesses still queued at drain");
+    NOMAD_CHECK(*this, waiters_.parked() == 0,
+                "waiter leak: ", waiters_.parked(),
+                " LLC senders still parked at drain");
 }
 
 void

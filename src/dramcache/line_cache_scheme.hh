@@ -27,6 +27,7 @@
 #include "harden/check.hh"
 #include "harden/diag.hh"
 #include "sim/flat_map.hh"
+#include "sim/waiter.hh"
 
 namespace nomad
 {
@@ -52,7 +53,8 @@ class LineCacheScheme : public DramCacheScheme, public Clocked
                     DramDevice &off_package, DramDevice &on_package,
                     PageTable &page_table);
 
-    bool tryAccess(const MemRequestPtr &req) override;
+    bool tryAccess(const MemRequestPtr &req,
+                   PortWaiter *waiter) override;
 
     void tick() final;
 
@@ -66,15 +68,18 @@ class LineCacheScheme : public DramCacheScheme, public Clocked
     /**
      * Skip-ahead hook: an unblocked MSHR progresses purely through
      * its fetch-arrival callback, so tick() only matters while the
-     * controller queue, a writeback job, or a blocked MSHR exists.
+     * controller queue, a writeback job, or a blocked MSHR exists. A
+     * pump pass that changed nothing sleeps until an arrival, an
+     * access or a refusing DRAM channel wakes it (pump_).
      */
     Tick
     nextWorkTick() const
     {
-        return (pendingQ_.empty() && writebackJobs_.empty() &&
-                blockedMshrs_ == 0)
-                   ? MaxTick
-                   : Tick(0);
+        if (pendingQ_.empty() && writebackJobs_.empty() &&
+            blockedMshrs_ == 0) {
+            return MaxTick;
+        }
+        return pump_.asleep() ? MaxTick : Tick(0);
     }
 
     bool quiesced() const override { return idle(); }
@@ -94,7 +99,7 @@ class LineCacheScheme : public DramCacheScheme, public Clocked
     stats::Scalar dcMissesMerged;
     stats::Scalar conflictEvictions; ///< Valid victims replaced.
     stats::Scalar dirtyWritebacks;
-    stats::Scalar rejects;
+    stats::Scalar rejects; ///< Refused access attempts.
 
   protected:
     /** Where a miss's line fetch currently stands. */
@@ -184,10 +189,22 @@ class LineCacheScheme : public DramCacheScheme, public Clocked
     LineCacheParams params_;
     std::uint64_t numSets_ = 0;
     std::vector<Mshr> mshrs_;
-    /** This scheme's clocked-component handle (for pokeClocked).
-     *  Protected: subclass launch policies running from delayed
-     *  callbacks must poke before touching MSHR state. */
+    /** This scheme's clocked-component handle (for pokeClocked). */
     Simulation::ClockedHandle wakeIdx_ = Simulation::InvalidClockedHandle;
+    /** Sleep gate of tick()'s pump; parks its DRAM refusals. */
+    PumpGate pump_;
+
+    /**
+     * External entry point: poke the kernel and owe the pump a pass.
+     * Subclass launch policies running from delayed callbacks must
+     * call it before touching MSHR state.
+     */
+    void
+    touch()
+    {
+        sim_.pokeClocked(wakeIdx_);
+        pump_.touch();
+    }
 
   private:
     struct WritebackJob
@@ -220,6 +237,8 @@ class LineCacheScheme : public DramCacheScheme, public Clocked
     std::uint64_t nextWritebackId_ = 1;
     std::deque<MemRequestPtr> pendingQ_;
     std::uint64_t useCounter_ = 0;
+    /** LLC senders refused by a full controller queue. */
+    WaiterList waiters_;
 };
 
 } // namespace nomad

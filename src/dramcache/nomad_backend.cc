@@ -85,6 +85,7 @@ NomadBackEnd::NomadBackEnd(Simulation &sim, const std::string &name,
     }
 
     wakeIdx_ = sim.addClocked(this, 1);
+    pump_.bind(sim, wakeIdx_);
 }
 
 void
@@ -122,7 +123,7 @@ NomadBackEnd::sendWriteback(PageNum cfn, PageNum pfn,
 void
 NomadBackEnd::submit(WaitingCmd cmd)
 {
-    pumpSleep_ = false;
+    pump_.touch();
     // Lifecycle span: opens when the command reaches the interface
     // register, closes when the page copy retires (releasePcshr).
     if (auto *sink = tracer();
@@ -157,7 +158,7 @@ NomadBackEnd::submit(WaitingCmd cmd)
 void
 NomadBackEnd::allocate(WaitingCmd cmd, int slot)
 {
-    pumpSleep_ = false;
+    pump_.touch();
     const Tick now = curTick();
     Pcshr &p = pcshrs_[slot];
     panic_if(p.valid, "allocating a busy PCSHR");
@@ -236,6 +237,9 @@ NomadBackEnd::assignBuffer(int slot)
             se = SubEntry{};
         }
     }
+    // A buffer, freed sub-entries and fresh B bits can each admit a
+    // refused access.
+    accessWaiters_.wakeAll();
 }
 
 int
@@ -289,13 +293,11 @@ NomadBackEnd::issueReads(int slot)
                 onReadArrive(slot, gen,
                              static_cast<std::uint32_t>(idx), when);
             });
-        if (!source.tryAccess(req)) {
-            pumpBlocked_ = true;
-            return; // Source queue full; retry next tick.
-        }
+        if (!source.tryAccess(req, pump_.waiter()))
+            return; // Parked until the source channel frees a slot.
         setBit(p.rVec, static_cast<std::uint32_t>(idx));
         ++p.readsInFlight;
-        pumpActivity_ = true;
+        pump_.progress();
     }
 }
 
@@ -336,7 +338,7 @@ NomadBackEnd::deliverRead(int slot, std::uint64_t gen, std::uint32_t idx,
     sim_.pokeClocked(wakeIdx_);
     // An arrival frees a read-in-flight slot (and may unblock parked
     // sub-entries), so the pump owes this slot a pass.
-    pumpSleep_ = false;
+    pump_.touch();
     Pcshr &p = pcshrs_[slot];
     if (!p.valid || p.generation != gen) {
         // The command completed through local writes and the slot was
@@ -369,6 +371,9 @@ NomadBackEnd::deliverRead(int slot, std::uint64_t gen, std::uint32_t idx,
     }
 
     servePendingReads(p, idx, when);
+    // The new B bit turns a refused read of this sub-block into a
+    // buffer hit, and served sub-entries free slots.
+    accessWaiters_.wakeAll();
     drainWrites(slot);
     maybeComplete(slot);
 }
@@ -414,13 +419,11 @@ NomadBackEnd::drainWrites(int slot)
         const Addr addr = (static_cast<Addr>(page) << PageShift) +
                           static_cast<Addr>(idx) * BlockBytes;
         auto req = makeRequest(addr, true, cat, space, curTick());
-        if (!dest.tryAccess(req)) {
-            pumpBlocked_ = true;
-            return; // Destination queue full; retry next tick.
-        }
+        if (!dest.tryAccess(req, pump_.waiter()))
+            return; // Parked until the destination frees a slot.
         setBit(p.wVec, idx);
         p.lastProgress = curTick();
-        pumpActivity_ = true;
+        pump_.progress();
         ready &= ready - 1;
     }
 }
@@ -456,8 +459,8 @@ NomadBackEnd::tracePcshrCounter()
 void
 NomadBackEnd::releasePcshr(int slot)
 {
-    pumpActivity_ = true;
-    pumpSleep_ = false;
+    pump_.progress();
+    pump_.touch();
     Pcshr &p = pcshrs_[slot];
     if (auto *sink = p.traceId ? tracer() : nullptr) {
         sink->asyncEnd(tracePid(), copySpanName(p.isWriteback),
@@ -472,6 +475,8 @@ NomadBackEnd::releasePcshr(int slot)
     p.retire();
     --activePcshrs_;
     tracePcshrCounter();
+    // No PCSHR matches the page any more: a refused access data-hits.
+    accessWaiters_.wakeAll();
 
     // Pass the page copy buffer to the next waiter, FIFO.
     if (!bufferWaiters_.empty()) {
@@ -495,7 +500,7 @@ NomadBackEnd::releasePcshr(int slot)
 }
 
 NomadBackEnd::AccessResult
-NomadBackEnd::access(const MemRequestPtr &req)
+NomadBackEnd::access(const MemRequestPtr &req, PortWaiter *waiter)
 {
     sim_.pokeClocked(wakeIdx_);
     panic_if(req->space != MemSpace::OnPackage,
@@ -519,7 +524,7 @@ NomadBackEnd::access(const MemRequestPtr &req)
     Pcshr &p = *match;
     // Every matched path below may mutate PCSHR state (vectors,
     // sub-entries) in ways that give the pump new work.
-    pumpSleep_ = false;
+    pump_.touch();
 
     if (req->isWrite) {
         if (p.bufferId < 0) {
@@ -542,6 +547,7 @@ NomadBackEnd::access(const MemRequestPtr &req)
                 }
             }
             ++subEntryRejects;
+            accessWaiters_.park(waiter);
             return AccessResult::Reject;
         }
         ++dataMisses;
@@ -559,6 +565,7 @@ NomadBackEnd::access(const MemRequestPtr &req)
         // would have served it will be dropped as stale against the B
         // vector, so leaving the sub-entry would strand it forever.
         servePendingReads(p, idx, curTick());
+        accessWaiters_.wakeAll();
         drainWrites(match_slot);
         maybeComplete(match_slot);
         return AccessResult::Serviced;
@@ -593,6 +600,7 @@ NomadBackEnd::access(const MemRequestPtr &req)
         }
     }
     ++subEntryRejects;
+    accessWaiters_.park(waiter);
     return AccessResult::Reject;
 }
 
@@ -614,14 +622,13 @@ NomadBackEnd::tick()
     if (activePcshrs_ == 0)
         return;
     const auto n = static_cast<std::uint32_t>(pcshrs_.size());
-    if (pumpSleep_) {
+    if (pump_.asleep()) {
         // Asleep: the pass below is a proven no-op; only the fairness
         // cursor advances (see skipTicks).
         rrCursor_ = (rrCursor_ + 1) % n;
         return;
     }
-    pumpActivity_ = false;
-    pumpBlocked_ = false;
+    pump_.beginPass();
     // Round-robin across PCSHRs so one hot command cannot starve the
     // others' source-read issue slots.
     for (std::uint32_t off = 0; off < n; ++off) {
@@ -633,11 +640,10 @@ NomadBackEnd::tick()
         maybeComplete(static_cast<int>(slot));
     }
     rrCursor_ = (rrCursor_ + 1) % n;
-    // A pass with no issue, no completion, and no backpressure leaves
-    // all PCSHR state untouched; further passes stay no-ops until an
-    // arrival, an access, or a new command pokes the pump awake.
-    if (!pumpActivity_ && !pumpBlocked_)
-        pumpSleep_ = true;
+    // A pass with no issue and no completion leaves all PCSHR state
+    // untouched; further passes stay no-ops until an arrival, an
+    // access, a new command, or a refusing channel wakes the pump.
+    pump_.endPass();
 }
 
 int
@@ -685,7 +691,7 @@ NomadBackEnd::checkCopyTimeouts()
 void
 NomadBackEnd::retryCopy(int slot)
 {
-    pumpSleep_ = false;
+    pump_.touch();
     Pcshr &p = pcshrs_[slot];
     // Abort-and-refetch (docs/HARDENING.md): orphan every in-flight
     // read by bumping the generation — a late arrival is then dropped
@@ -715,6 +721,9 @@ NomadBackEnd::checkDrained() const
     NOMAD_CHECK(*this, freeBuffers_ == params_.numBuffers,
                 "buffer leak: ", freeBuffers_, " of ",
                 params_.numBuffers, " page copy buffers free at drain");
+    NOMAD_CHECK(*this, accessWaiters_.parked() == 0,
+                "waiter leak: ", accessWaiters_.parked(),
+                " refused accesses still parked at drain");
     for (const auto &p : pcshrs_) {
         NOMAD_CHECK(*this, !p.valid && p.readsInFlight == 0,
                     "PCSHR for cfn ", p.cfn, " not released at drain");

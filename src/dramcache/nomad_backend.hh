@@ -31,6 +31,7 @@
 #include "sim/flat_map.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
+#include "sim/waiter.hh"
 
 namespace nomad
 {
@@ -79,7 +80,7 @@ class NomadBackEnd : public SimObject, public Clocked
         DataHit,  ///< No PCSHR tag match; proceed to on-package DRAM.
         Serviced, ///< Completed against the page copy buffer.
         Pending,  ///< Parked in a sub-entry until its sub-block lands.
-        Reject,   ///< Sub-entries full; caller must retry.
+        Reject,   ///< Sub-entries full; the caller's waiter is parked.
     };
 
     NomadBackEnd(Simulation &sim, const std::string &name,
@@ -106,9 +107,10 @@ class NomadBackEnd : public SimObject, public Clocked
      * Verify the presence of data for an on-package demand access by
      * comparing the CFN against all PCSHR tags (Section III-D3). The
      * request is completed/parked internally unless the result is
-     * DataHit (forward to HBM) or Reject (retry later).
+     * DataHit (forward to HBM) or Reject, which parks @p waiter until
+     * a sub-entry, a buffer or the PCSHR itself frees.
      */
-    AccessResult access(const MemRequestPtr &req);
+    AccessResult access(const MemRequestPtr &req, PortWaiter *waiter);
 
     /** True while a cache-fill for @p cfn is outstanding. */
     bool hasFillInFlight(PageNum cfn) const;
@@ -137,7 +139,8 @@ class NomadBackEnd : public SimObject, public Clocked
 
     /**
      * Skip-ahead hook: the back-end sleeps with no PCSHR in flight,
-     * or while a pump pass is provably a no-op (pumpSleep_). The
+     * or while a pump pass is provably a no-op (pump_ asleep: the last
+     * pass changed nothing, and its DRAM refusals are parked). The
      * hardened paths (blocked-command drain under fault injection,
      * copy-timeout scans) run every cycle by design, so a hardened
      * back-end never skips.
@@ -149,7 +152,7 @@ class NomadBackEnd : public SimObject, public Clocked
             return 0;
         if (activePcshrs_ == 0 && waitQ_.empty())
             return MaxTick;
-        return pumpSleep_ ? MaxTick : Tick(0);
+        return pump_.asleep() ? MaxTick : Tick(0);
     }
 
     /**
@@ -189,7 +192,7 @@ class NomadBackEnd : public SimObject, public Clocked
     stats::Scalar bufferReadHits; ///< Read data-misses served from PCB.
     stats::Scalar bufferWrites;   ///< Write data-misses into the PCB.
     stats::Scalar pendingServed;  ///< Sub-entry reads served on arrival.
-    stats::Scalar subEntryRejects;
+    stats::Scalar subEntryRejects; ///< Refused access attempts.
     stats::Scalar readsSkipped;   ///< Source reads avoided by the R vec.
     stats::Scalar staleReadsDropped;
     stats::Average fillLatency;   ///< Command accept to page complete.
@@ -288,14 +291,15 @@ class NomadBackEnd : public SimObject, public Clocked
     std::deque<WaitingCmd> waitQ_;  ///< Commands behind the interface.
     std::uint32_t rrCursor_ = 0;    ///< Round-robin fairness cursor.
     /**
-     * The pump is asleep: the last full pass issued nothing, hit no
-     * backpressure, and completed nothing, so (by induction, state
-     * being otherwise frozen) every further pass is a no-op until an
-     * external entry point mutates PCSHR state and clears this.
+     * Pump sleep: once a full pass issued nothing and completed
+     * nothing (its DRAM refusals parked on the refusing channels),
+     * every further pass is a no-op (by induction, state being
+     * otherwise frozen) until an external entry point mutates PCSHR
+     * state (touch) or a refusing channel frees a slot (wake).
      */
-    bool pumpSleep_ = false;
-    bool pumpActivity_ = false; ///< Set by any pump-pass state change.
-    bool pumpBlocked_ = false;  ///< Set by any DRAM-queue rejection.
+    PumpGate pump_;
+    /** Accesses refused with full sub-entries. */
+    WaiterList accessWaiters_;
     std::string pcshrCounterName_;  ///< Cached trace counter name.
     /** This back-end's clocked-component handle (for pokeClocked). */
     Simulation::ClockedHandle wakeIdx_ = Simulation::InvalidClockedHandle;

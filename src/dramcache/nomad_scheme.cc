@@ -29,31 +29,32 @@ NomadScheme::NomadScheme(Simulation &sim, const std::string &name,
     frontEnd_ = std::make_unique<OsFrontEnd>(sim, name + ".fe", fe,
                                              page_table, *router_);
     wakeIdx_ = sim.addClocked(this, 1);
+    pendWaiter_.bind(sim, wakeIdx_);
+    verifyWaiter_.bind(sim, wakeIdx_);
 }
 
 bool
 NomadScheme::attemptAccess(const MemRequestPtr &req)
 {
     NomadBackEnd &be = backEndFor(pageOf(req->addr));
-    switch (be.access(req)) {
+    switch (be.access(req, &pendWaiter_)) {
       case NomadBackEnd::AccessResult::DataHit:
         if (params_.verifyLatency > 0) {
-            // Model the CAM-compare delay by forwarding after it; keep
-            // retrying if the destination queue is momentarily full.
+            // Model the CAM-compare delay by forwarding after it; a
+            // refused forward waits in verifyQ_ for the HBM wake.
             // Default is 0 per the paper's CACTI analysis (0.21 cyc).
+            ++verifyInFlight_;
             auto r = req;
-            auto attempt = std::make_shared<std::function<void()>>();
-            *attempt = [this, r, attempt]() {
-                if (onPackage_->tryAccess(r)) {
-                    backEndFor(pageOf(r->addr)).dataHits += 1;
+            schedule(params_.verifyLatency, [this, r]() {
+                sim_.pokeClocked(wakeIdx_);
+                --verifyInFlight_;
+                if (verifyQ_.empty() && forwardVerified(r))
                     return;
-                }
-                schedule(1, *attempt);
-            };
-            schedule(params_.verifyLatency, *attempt);
+                verifyQ_.push_back(r);
+            });
             return true;
         }
-        if (!onPackage_->tryAccess(req))
+        if (!onPackage_->tryAccess(req, &pendWaiter_))
             return false;
         be.dataHits += 1;
         return true;
@@ -67,14 +68,23 @@ NomadScheme::attemptAccess(const MemRequestPtr &req)
 }
 
 bool
-NomadScheme::tryAccess(const MemRequestPtr &req)
+NomadScheme::forwardVerified(const MemRequestPtr &req)
+{
+    if (!onPackage_->tryAccess(req, &verifyWaiter_))
+        return false;
+    backEndFor(pageOf(req->addr)).dataHits += 1;
+    return true;
+}
+
+bool
+NomadScheme::tryAccess(const MemRequestPtr &req, PortWaiter *waiter)
 {
     sim_.pokeClocked(wakeIdx_);
     if (req->space == MemSpace::OffPackage) {
         // Non-cached pages (evicted frames, NC pages) behave like the
         // conventional memory system (Section III-E, (hit, miss) case).
         trackDemandRead(req);
-        return offPackage_.tryAccess(req);
+        return offPackage_.tryAccess(req, waiter);
     }
 
     // DC access: verify data presence against the owning back-end.
@@ -82,8 +92,10 @@ NomadScheme::tryAccess(const MemRequestPtr &req)
     if (!pendingQ_.empty() || !attemptAccess(req)) {
         // Park in the DC controller queue rather than bouncing the
         // request back into the LLC's (FIFO) send path.
-        if (pendingQ_.size() >= params_.controllerQueueDepth)
+        if (pendingQ_.size() >= params_.controllerQueueDepth) {
+            waiters_.park(waiter);
             return false;
+        }
         pendingQ_.push_back(req);
     }
     return true;
@@ -92,15 +104,25 @@ NomadScheme::tryAccess(const MemRequestPtr &req)
 void
 NomadScheme::tick()
 {
-    while (!pendingQ_.empty() && attemptAccess(pendingQ_.front()))
+    if (!verifyWaiter_.blocked()) {
+        while (!verifyQ_.empty() && forwardVerified(verifyQ_.front()))
+            verifyQ_.pop_front();
+    }
+    if (pendWaiter_.blocked())
+        return; // Parked until the refusing component wakes the head.
+    while (!pendingQ_.empty() && attemptAccess(pendingQ_.front())) {
         pendingQ_.pop_front();
+        waiters_.wakeAll();
+    }
 }
 
 bool
 NomadScheme::quiesced() const
 {
-    if (!OsManagedScheme::quiesced() || !pendingQ_.empty())
+    if (!OsManagedScheme::quiesced() || !pendingQ_.empty() ||
+        !verifyQ_.empty() || verifyInFlight_ != 0) {
         return false;
+    }
     for (const auto &be : backEnds_) {
         if (!be->idle())
             return false;
@@ -115,6 +137,12 @@ NomadScheme::checkDrained() const
     NOMAD_CHECK(*this, pendingQ_.empty(),
                 "DC controller leak: ", pendingQ_.size(),
                 " accesses still queued at drain");
+    NOMAD_CHECK(*this, verifyQ_.empty() && verifyInFlight_ == 0,
+                "verify leak: ", verifyQ_.size() + verifyInFlight_,
+                " data hits still unforwarded at drain");
+    NOMAD_CHECK(*this, waiters_.parked() == 0,
+                "waiter leak: ", waiters_.parked(),
+                " LLC senders still parked at drain");
     for (const auto &be : backEnds_)
         be->checkDrained();
 }

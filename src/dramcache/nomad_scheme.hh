@@ -19,6 +19,7 @@
 
 #include "dramcache/nomad_backend.hh"
 #include "dramcache/os_managed_scheme.hh"
+#include "sim/waiter.hh"
 
 namespace nomad
 {
@@ -50,18 +51,30 @@ class NomadScheme : public OsManagedScheme, public Clocked
 
     SchemeKind kind() const override { return SchemeKind::Nomad; }
 
-    bool tryAccess(const MemRequestPtr &req) override;
+    bool tryAccess(const MemRequestPtr &req,
+                   PortWaiter *waiter) override;
 
-    /** Retry queued DC-controller accesses. */
+    /** Retry queued DC-controller accesses once woken. */
     void tick() final;
 
-    bool idle() const final { return pendingQ_.empty(); }
+    bool
+    idle() const final
+    {
+        return pendingQ_.empty() && verifyQ_.empty();
+    }
 
-    /** Skip-ahead hook: tick() only drains the controller queue. */
+    /**
+     * Skip-ahead hook: tick() only drains the controller queue and the
+     * verified-forward queue, each of whose refused head waits for the
+     * wake of the component that refused it.
+     */
     Tick
     nextWorkTick() const
     {
-        return pendingQ_.empty() ? MaxTick : Tick(0);
+        const bool pending = !pendingQ_.empty() && !pendWaiter_.blocked();
+        const bool verify =
+            !verifyQ_.empty() && !verifyWaiter_.blocked();
+        return pending || verify ? Tick(0) : MaxTick;
     }
 
     bool quiesced() const override;
@@ -118,13 +131,27 @@ class NomadScheme : public OsManagedScheme, public Clocked
         return *backEnds_[cfn % backEnds_.size()];
     }
 
-    /** One attempt at servicing an on-package access; false = retry. */
+    /**
+     * One attempt at servicing an on-package access; false parks
+     * pendWaiter_ on the back-end or HBM channel that refused it.
+     */
     bool attemptAccess(const MemRequestPtr &req);
+
+    /** Forward a verified data hit to HBM; false parks verifyWaiter_. */
+    bool forwardVerified(const MemRequestPtr &req);
 
     NomadParams params_;
     std::unique_ptr<Router> router_;
     std::vector<std::unique_ptr<NomadBackEnd>> backEnds_;
     std::deque<MemRequestPtr> pendingQ_;
+    /** Data hits past the verify delay that HBM refused (FIFO). */
+    std::deque<MemRequestPtr> verifyQ_;
+    /** Data hits still inside the verify delay. */
+    std::uint64_t verifyInFlight_ = 0;
+    PortWaiter pendWaiter_;   ///< Parks pendingQ_'s refused head.
+    PortWaiter verifyWaiter_; ///< Parks verifyQ_'s refused head.
+    /** LLC senders refused by a full controller queue. */
+    WaiterList waiters_;
     /** This scheme's clocked-component handle (for pokeClocked). */
     Simulation::ClockedHandle wakeIdx_ = Simulation::InvalidClockedHandle;
 };

@@ -170,6 +170,7 @@ OsFrontEnd::allocateFrame(int core, PageNum vpn, Pte *pte,
                 p->frame = cfn;
                 ++updated;
             }
+            pageTable_.remapped();
             if (updated > 1)
                 sharedPtesUpdated += updated - 1;
 
@@ -311,6 +312,7 @@ OsFrontEnd::evictVictims(std::uint32_t index, Tick now)
                 p->frame = cpd.pfn;
                 p->cached = false;
             }
+            pageTable_.remapped();
             pageTable_.ppd(cpd.pfn).cached = false;
             cpd.valid = false;
             cpd.dirtyInCache = false;

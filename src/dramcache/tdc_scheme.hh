@@ -50,14 +50,14 @@ class TdcScheme : public OsManagedScheme
     SchemeKind kind() const override { return SchemeKind::Tdc; }
 
     bool
-    tryAccess(const MemRequestPtr &req) override
+    tryAccess(const MemRequestPtr &req, PortWaiter *waiter) override
     {
         // Coupled tag-data management: a tag hit guarantees a data hit,
         // so accesses forward without any verification step.
         trackDemandRead(req);
         if (req->space == MemSpace::OnPackage)
-            return onPackage_->tryAccess(req);
-        return offPackage_.tryAccess(req);
+            return onPackage_->tryAccess(req, waiter);
+        return offPackage_.tryAccess(req, waiter);
     }
 
     NomadBackEnd &copyEngine() { return *engine_; }

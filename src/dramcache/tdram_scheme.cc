@@ -55,7 +55,7 @@ TdramScheme::launchFetch(std::size_t slot)
         return;
     }
     schedule(params_.tagCheckTicks, [this, slot, gen]() {
-        sim_.pokeClocked(wakeIdx_);
+        touch();
         Mshr &mm = mshrs_[slot];
         if (mm.valid && mm.generation == gen)
             issueFetch(slot);

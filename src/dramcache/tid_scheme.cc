@@ -52,6 +52,7 @@ TidScheme::TidScheme(Simulation &sim, const std::string &name,
     reg.add(&rejects);
 
     wakeIdx_ = sim.addClocked(this, 1);
+    pump_.bind(sim, wakeIdx_);
 }
 
 std::uint64_t
@@ -121,8 +122,8 @@ TidScheme::issueMetadataRead(std::uint64_t set)
     auto req = makeRequest(hbmAddrOf(set, 0, 0), false,
                            Category::Metadata, MemSpace::OnPackage,
                            curTick());
-    (void)onPackage_->tryAccess(req); // Dropped if full: probe retried
-                                      // with the access itself.
+    // Dropped if full: the probe is retried with the access itself.
+    (void)onPackage_->tryAccess(req, nullptr);
 }
 
 void
@@ -136,7 +137,7 @@ TidScheme::issueMetadataWrite(std::uint64_t set)
     auto req = makeRequest(hbmAddrOf(set, 0, 0), true,
                            Category::Metadata, MemSpace::OnPackage,
                            curTick());
-    (void)onPackage_->tryAccess(req);
+    (void)onPackage_->tryAccess(req, nullptr);
 }
 
 bool
@@ -154,9 +155,9 @@ TidScheme::serviceHit(const MemRequestPtr &req, std::uint64_t set,
     demand->onComplete = [original](Tick when) {
         original->complete(when);
     };
-    if (!onPackage_->tryAccess(demand)) {
-        // Queue full: retry from the controller queue. The metadata
-        // probe was not issued yet (probe order below).
+    if (!onPackage_->tryAccess(demand, pump_.waiter())) {
+        // Queue full: parked for a retry from the controller queue.
+        // The metadata probe was not issued yet (probe order below).
         return false;
     }
     e.lastUse = ++useCounter_;
@@ -169,9 +170,9 @@ TidScheme::serviceHit(const MemRequestPtr &req, std::uint64_t set,
 }
 
 bool
-TidScheme::tryAccess(const MemRequestPtr &req)
+TidScheme::tryAccess(const MemRequestPtr &req, PortWaiter *waiter)
 {
-    sim_.pokeClocked(wakeIdx_);
+    touch();
     panic_if(req->space != MemSpace::OffPackage,
              "TiD expects physical-address traffic");
     trackDemandRead(req);
@@ -180,6 +181,7 @@ TidScheme::tryAccess(const MemRequestPtr &req)
         // request back into the LLC's (FIFO) send path.
         if (pendingQ_.size() >= params_.controllerQueueDepth) {
             ++rejects;
+            waiters_.park(waiter);
             return false;
         }
         pendingQ_.push_back(req);
@@ -336,12 +338,13 @@ TidScheme::pumpMshr(Mshr &m, std::size_t slot)
                 onFillBlock(slot, gen,
                             static_cast<std::uint32_t>(idx), when);
             });
-        if (!offPackage_.tryAccess(req)) {
+        if (!offPackage_.tryAccess(req, pump_.waiter())) {
             m.blocked = true;
             break;
         }
         m.rVec |= (1ULL << idx);
         ++m.readsInFlight;
+        pump_.progress();
     }
 
     // Drain arrived blocks into the on-package data array.
@@ -352,11 +355,12 @@ TidScheme::pumpMshr(Mshr &m, std::size_t slot)
         auto wr = makeRequest(hbmAddrOf(m.set, m.way, idx), true,
                               Category::Fill, MemSpace::OnPackage,
                               curTick());
-        if (!onPackage_->tryAccess(wr)) {
+        if (!onPackage_->tryAccess(wr, pump_.waiter())) {
             m.blocked = true;
             break;
         }
         m.wVec |= (1ULL << idx);
+        pump_.progress();
         ready &= ready - 1;
     }
 
@@ -387,7 +391,7 @@ void
 TidScheme::onFillBlock(std::size_t slot, std::uint64_t gen,
                        std::uint32_t idx, Tick when)
 {
-    sim_.pokeClocked(wakeIdx_);
+    touch();
     Mshr &m = mshrs_[slot];
     if (!m.valid || m.generation != gen)
         return;
@@ -436,17 +440,18 @@ TidScheme::pumpWriteback(WritebackJob &job)
             job.hbmLineAddr + static_cast<Addr>(idx) * BlockBytes,
             false, Category::Writeback, MemSpace::OnPackage, curTick(),
             [this, id, idx](Tick) {
-                sim_.pokeClocked(wakeIdx_);
+                touch();
                 // Look up by id: the job vector may have reallocated.
                 if (WritebackJob *j = findWriteback(id)) {
                     j->bVec |= (1ULL << idx);
                     --j->readsInFlight;
                 }
             });
-        if (!onPackage_->tryAccess(req))
+        if (!onPackage_->tryAccess(req, pump_.waiter()))
             break;
         job.rVec |= (1ULL << idx);
         ++job.readsInFlight;
+        pump_.progress();
     }
     std::uint64_t ready = job.bVec & ~job.wVec;
     while (ready != 0) {
@@ -455,9 +460,10 @@ TidScheme::pumpWriteback(WritebackJob &job)
         auto wr = makeRequest(
             job.ddrLineAddr + static_cast<Addr>(idx) * BlockBytes, true,
             Category::Writeback, MemSpace::OffPackage, curTick());
-        if (!offPackage_.tryAccess(wr))
+        if (!offPackage_.tryAccess(wr, pump_.waiter()))
             break;
         job.wVec |= (1ULL << idx);
+        pump_.progress();
         ready &= ready - 1;
     }
 }
@@ -474,8 +480,14 @@ TidScheme::findWriteback(std::uint64_t id)
 void
 TidScheme::tick()
 {
-    while (!pendingQ_.empty() && attemptAccess(pendingQ_.front()))
+    if (pump_.asleep())
+        return; // The pass below is a proven no-op until woken.
+    pump_.beginPass();
+    while (!pendingQ_.empty() && attemptAccess(pendingQ_.front())) {
         pendingQ_.pop_front();
+        pump_.progress();
+        waiters_.wakeAll();
+    }
     // Only backpressured MSHRs are re-pumped: everything else drives
     // itself forward from fill-arrival callbacks (Mshr::blocked).
     for (std::size_t i = 0; i < mshrs_.size(); ++i) {
@@ -493,6 +505,7 @@ TidScheme::tick()
         else
             ++it;
     }
+    pump_.endPass();
 }
 
 void

@@ -24,6 +24,7 @@
 #include "harden/diag.hh"
 #include "sim/flat_map.hh"
 #include "sim/rng.hh"
+#include "sim/waiter.hh"
 
 namespace nomad
 {
@@ -55,7 +56,8 @@ class TidScheme : public DramCacheScheme, public Clocked
 
     SchemeKind kind() const override { return SchemeKind::Tid; }
 
-    bool tryAccess(const MemRequestPtr &req) override;
+    bool tryAccess(const MemRequestPtr &req,
+                   PortWaiter *waiter) override;
 
     void tick() final;
     bool
@@ -68,15 +70,18 @@ class TidScheme : public DramCacheScheme, public Clocked
     /**
      * Skip-ahead hook: tick() pumps the controller queue, blocked
      * MSHRs, and writeback jobs; with none of those present every
-     * in-flight fill progresses purely through arrival callbacks.
+     * in-flight fill progresses purely through arrival callbacks. A
+     * pump pass that changed nothing sleeps until an arrival, an
+     * access or a refusing DRAM channel wakes it (pump_).
      */
     Tick
     nextWorkTick() const
     {
-        return (pendingQ_.empty() && writebackJobs_.empty() &&
-                blockedMshrs_ == 0)
-                   ? MaxTick
-                   : Tick(0);
+        if (pendingQ_.empty() && writebackJobs_.empty() &&
+            blockedMshrs_ == 0) {
+            return MaxTick;
+        }
+        return pump_.asleep() ? MaxTick : Tick(0);
     }
 
     const TidParams &params() const { return params_; }
@@ -95,6 +100,9 @@ class TidScheme : public DramCacheScheme, public Clocked
         NOMAD_CHECK(*this, pendingQ_.empty(),
                     "DC controller leak: ", pendingQ_.size(),
                     " accesses still queued at drain");
+        NOMAD_CHECK(*this, waiters_.parked() == 0,
+                    "waiter leak: ", waiters_.parked(),
+                    " LLC senders still parked at drain");
     }
 
     void
@@ -119,7 +127,7 @@ class TidScheme : public DramCacheScheme, public Clocked
     stats::Scalar dirtyWritebacks;
     stats::Scalar tagReads;          ///< Metadata read bursts.
     stats::Scalar tagWrites;         ///< Metadata write bursts.
-    stats::Scalar rejects;
+    stats::Scalar rejects; ///< Refused access attempts.
 
     /** Valid MSHRs right now (occupancy gauge for the sampler). */
     std::uint32_t activeMshrs() const { return activeMshrs_; }
@@ -226,6 +234,18 @@ class TidScheme : public DramCacheScheme, public Clocked
     std::string mshrCounterName_; ///< Cached trace counter name.
     /** This scheme's clocked-component handle (for pokeClocked). */
     Simulation::ClockedHandle wakeIdx_ = Simulation::InvalidClockedHandle;
+    /** Sleep gate of tick()'s pump; parks its DRAM refusals. */
+    PumpGate pump_;
+    /** LLC senders refused by a full controller queue. */
+    WaiterList waiters_;
+
+    /** External entry point: poke the kernel, owe the pump a pass. */
+    void
+    touch()
+    {
+        sim_.pokeClocked(wakeIdx_);
+        pump_.touch();
+    }
 };
 
 } // namespace nomad

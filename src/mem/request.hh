@@ -57,6 +57,7 @@ const char *categoryName(Category c);
 
 struct MemRequest;
 class MemRequestPtr;
+class PortWaiter;
 
 namespace detail
 {
@@ -304,9 +305,12 @@ makeRequest(Addr addr, bool is_write, Category cat, MemSpace space,
 }
 
 /**
- * Downstream-facing port. tryAccess() returns false when the component
- * cannot accept the request this cycle (queue full); the caller retries
- * on a later cycle.
+ * Downstream-facing port with retry-on-release back-pressure
+ * (sim/waiter.hh). tryAccess() returns false when the component cannot
+ * accept the request (queue or MSHRs full) and then parks @p waiter on
+ * the component that actually refused it; that component wakes it
+ * once a retry could succeed. A null waiter means the caller drops a
+ * refused request instead of retrying it.
  */
 class MemPort
 {
@@ -314,7 +318,8 @@ class MemPort
     virtual ~MemPort() = default;
 
     /** Offer @p req; true if accepted (ownership of delivery taken). */
-    virtual bool tryAccess(const MemRequestPtr &req) = 0;
+    virtual bool tryAccess(const MemRequestPtr &req,
+                           PortWaiter *waiter) = 0;
 };
 
 } // namespace nomad

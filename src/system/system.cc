@@ -334,7 +334,32 @@ System::runUntilCoresDone()
             throw harden::SimError(std::move(d));
         }
         scheme_->checkDrained();
+        checkNoParkedSenders();
     }
+}
+
+void
+System::checkNoParkedSenders() const
+{
+    // Retry-on-release: a sender still parked after the drain would
+    // never be woken, so every waiter list must be empty by now.
+    auto audit = [](const auto &target, std::size_t parked) {
+        NOMAD_CHECK(target, parked == 0, "waiter leak: ", parked,
+                    " senders still parked on ", target.name(),
+                    " at drain");
+    };
+    audit(*l3_, l3_->parkedSenders());
+    for (const auto &l2 : l2s_)
+        audit(*l2, l2->parkedSenders());
+    for (const auto &l1 : l1s_)
+        audit(*l1, l1->parkedSenders());
+    audit(*ddr_, ddr_->parkedSenders());
+    if (hbm_)
+        audit(*hbm_, hbm_->parkedSenders());
+    const std::size_t remap = pageTable_->remapWaiters().parked();
+    NOMAD_CHECK(*scheme_, remap == 0, "waiter leak: ", remap,
+                " cores still parked on the page table's remap list "
+                "at drain");
 }
 
 void

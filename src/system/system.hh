@@ -249,6 +249,8 @@ class System
 
   private:
     void runUntilCoresDone();
+    /** Drain audit: no sender may still be parked on any target. */
+    void checkNoParkedSenders() const;
 
     SystemConfig config_;
     harden::FaultSpec faultSpec_;

@@ -58,6 +58,7 @@ MigrationEngine::MigrationEngine(Simulation &sim, const std::string &name,
     }
 
     wakeIdx_ = sim.addClocked(this, 1);
+    pump_.bind(sim, wakeIdx_);
 }
 
 const char *
@@ -91,7 +92,7 @@ MigrationEngine::startMigration(bool is_demotion, PageNum pfn,
     const int slot = findFreeSlot();
     if (slot < 0)
         return false; // Engine saturated; the caller declines.
-    pumpSleep_ = false;
+    pump_.touch();
     const Tick now = curTick();
     Slot &s = slots_[slot];
     panic_if(s.valid, "allocating a busy migration slot");
@@ -155,15 +156,14 @@ MigrationEngine::issueReads(int slot)
             [this, slot, gen, idx](Tick when) {
                 onReadArrive(slot, gen, idx, when);
             });
-        const bool ok = s.isDemotion ? near_.tryAccess(req)
-                                     : farLink_.tryAccess(req);
-        if (!ok) {
-            pumpBlocked_ = true;
-            return; // Source queue full; retry next tick.
-        }
+        const bool ok =
+            s.isDemotion ? near_.tryAccess(req, pump_.waiter())
+                         : farLink_.tryAccess(req, pump_.waiter());
+        if (!ok)
+            return; // Parked until the source frees a slot.
         setBit(s.rVec, idx);
         ++s.readsInFlight;
-        pumpActivity_ = true;
+        pump_.progress();
     }
 }
 
@@ -202,7 +202,7 @@ MigrationEngine::deliverRead(int slot, std::uint64_t gen,
                              std::uint32_t idx, Tick when)
 {
     sim_.pokeClocked(wakeIdx_);
-    pumpSleep_ = false;
+    pump_.touch();
     Slot &s = slots_[slot];
     if (!s.valid || s.generation != gen) {
         // Orphaned by an abort, a cancellation, or a slot recycle.
@@ -244,15 +244,14 @@ MigrationEngine::drainWrites(int slot)
         const Addr addr = (static_cast<Addr>(page) << PageShift) +
                           static_cast<Addr>(idx) * BlockBytes;
         auto req = makeRequest(addr, true, cat, space, curTick());
-        const bool ok = s.isDemotion ? farLink_.tryAccess(req)
-                                     : near_.tryAccess(req);
-        if (!ok) {
-            pumpBlocked_ = true;
-            return; // Destination queue full; retry next tick.
-        }
+        const bool ok =
+            s.isDemotion ? farLink_.tryAccess(req, pump_.waiter())
+                         : near_.tryAccess(req, pump_.waiter());
+        if (!ok)
+            return; // Parked until the destination frees a slot.
         setBit(s.wVec, idx);
         s.lastProgress = curTick();
-        pumpActivity_ = true;
+        pump_.progress();
         ready &= ready - 1;
     }
 }
@@ -293,7 +292,7 @@ MigrationEngine::noteFarWrite(PageNum pfn)
         return;
     Slot &s = slots_[*slot];
     ++writeAborts;
-    pumpSleep_ = false;
+    pump_.touch();
     if (auto *sink = s.traceId ? tracer() : nullptr) {
         sink->asyncInstant(tracePid(), "migration_abort",
                            trace::Cat::Copy, s.traceId, curTick(),
@@ -349,8 +348,8 @@ MigrationEngine::cancelMigration(int slot)
 void
 MigrationEngine::releaseSlot(int slot)
 {
-    pumpSleep_ = false;
-    pumpActivity_ = true;
+    pump_.touch();
+    pump_.progress();
     Slot &s = slots_[slot];
     if (s.isDemotion)
         demoIndex_.erase(s.cfn);
@@ -377,12 +376,11 @@ MigrationEngine::tick()
     if (activeSlots_ == 0)
         return;
     const auto n = static_cast<std::uint32_t>(slots_.size());
-    if (pumpSleep_) {
+    if (pump_.asleep()) {
         rrCursor_ = (rrCursor_ + 1) % n;
         return;
     }
-    pumpActivity_ = false;
-    pumpBlocked_ = false;
+    pump_.beginPass();
     for (std::uint32_t off = 0; off < n; ++off) {
         const std::uint32_t slot = (rrCursor_ + off) % n;
         if (!slots_[slot].valid)
@@ -392,8 +390,7 @@ MigrationEngine::tick()
         maybeComplete(static_cast<int>(slot));
     }
     rrCursor_ = (rrCursor_ + 1) % n;
-    if (!pumpActivity_ && !pumpBlocked_)
-        pumpSleep_ = true;
+    pump_.endPass();
 }
 
 int
@@ -414,7 +411,7 @@ MigrationEngine::checkCopyTimeouts()
         Slot &s = slots_[i];
         if (!s.valid || now - s.lastProgress <= params_.copyTimeoutTicks)
             continue;
-        pumpSleep_ = false;
+        pump_.touch();
         // Same abort-and-refetch as the PCSHR copy timeout: orphan the
         // lost reads, rewind R to what actually landed, re-issue.
         s.rewindLost(now);

@@ -33,6 +33,7 @@
 #include "sim/flat_map.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
+#include "sim/waiter.hh"
 #include "tiering/tiering.hh"
 
 namespace nomad
@@ -108,7 +109,7 @@ class MigrationEngine : public SimObject, public Clocked
             return 0;
         if (activeSlots_ == 0)
             return MaxTick;
-        return pumpSleep_ ? MaxTick : Tick(0);
+        return pump_.asleep() ? MaxTick : Tick(0);
     }
 
     void
@@ -191,9 +192,7 @@ class MigrationEngine : public SimObject, public Clocked
     std::uint32_t activeSlots_ = 0;
     std::uint32_t rrCursor_ = 0;
     /** Pump-sleep induction, same contract as NomadBackEnd. */
-    bool pumpSleep_ = false;
-    bool pumpActivity_ = false;
-    bool pumpBlocked_ = false;
+    PumpGate pump_;
     /** This engine's clocked-component handle (for pokeClocked). */
     Simulation::ClockedHandle wakeIdx_ = Simulation::InvalidClockedHandle;
 };

@@ -109,10 +109,10 @@ class FarTierLink : public SimObject, public MemPort
     Tick linkTicks() const { return linkTicks_; }
 
     bool
-    tryAccess(const MemRequestPtr &req) override
+    tryAccess(const MemRequestPtr &req, PortWaiter *waiter) override
     {
         if (linkTicks_ == 0 || req->isWrite || !req->onComplete)
-            return far_.tryAccess(req);
+            return far_.tryAccess(req, waiter);
         // Complete the caller's request linkTicks after the device
         // answers; the inner request carries no latency tracking, so
         // the caller's demand-read stats include the link.
@@ -125,7 +125,7 @@ class FarTierLink : public SimObject, public MemPort
                 });
             },
             req->coreId);
-        return far_.tryAccess(inner);
+        return far_.tryAccess(inner, waiter);
     }
 
   private:

@@ -155,6 +155,7 @@ TieringFrontEnd::commitPromotion(PageNum pfn, PageNum cfn)
         pte->cached = true;
         pte->frame = cfn;
     }
+    pageTable_.remapped();
     pageTable_.ppd(pfn).cached = true;
     // Stale SRAM lines still keyed by the far address would alias the
     // now-near page; flush them, as a real migration invalidates.
@@ -325,6 +326,7 @@ TieringFrontEnd::commitDemotion(PageNum cfn)
         // Anti-ping-pong: a demoted page re-earns its promotion.
         heat::reset(*pte, curTick(), params_.heatEpochTicks);
     }
+    pageTable_.remapped();
     pageTable_.ppd(pfn).cached = false;
     if (flushHook_) {
         sramFlushes += static_cast<double>(

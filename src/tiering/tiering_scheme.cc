@@ -61,18 +61,18 @@ TieringScheme::trackTier(const MemRequestPtr &req,
 }
 
 bool
-TieringScheme::tryAccess(const MemRequestPtr &req)
+TieringScheme::tryAccess(const MemRequestPtr &req, PortWaiter *waiter)
 {
     if (req->space == MemSpace::OnPackage) {
         trackTier(req, nearReadLatency);
-        if (!onPackage_->tryAccess(req))
+        if (!onPackage_->tryAccess(req, waiter))
             return false;
         if (req->isWrite)
             frontend_->noteNearWrite(pageOf(req->addr));
         return true;
     }
     trackTier(req, farReadLatency);
-    if (!farLink_->tryAccess(req))
+    if (!farLink_->tryAccess(req, waiter))
         return false;
     // Hotness sampling and write-abort happen only once the device
     // accepts, so rejected-and-retried accesses are not double-counted.

@@ -68,7 +68,8 @@ class TieringScheme : public DramCacheScheme
         return (pte.frame << PageShift) | pageOffset(vaddr);
     }
 
-    bool tryAccess(const MemRequestPtr &req) override;
+    bool tryAccess(const MemRequestPtr &req,
+                   PortWaiter *waiter) override;
 
     bool quiesced() const override { return frontend_->quiesced(); }
     void checkDrained() const override { frontend_->checkDrained(); }

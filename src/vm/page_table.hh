@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/waiter.hh"
 #include "vm/pte.hh"
 
 namespace nomad
@@ -108,6 +109,17 @@ class PageTable
         return ptes;
     }
 
+    /**
+     * Senders whose refused retry recomputes its address from a PTE
+     * (a core's L1 issue). Every PTE remap calls remapped(), so such a
+     * sender retries with the new address at the edge the per-tick
+     * poll would have.
+     */
+    WaiterList &remapWaiters() { return remapWaiters_; }
+
+    /** PTEs were repointed: wake every sender parked on a translation. */
+    void remapped() { remapWaiters_.wakeAll(); }
+
     std::uint64_t allocatedFrames() const { return nextPfn_; }
     std::uint64_t capacityFrames() const { return physFrames_; }
     std::size_t mappedPages() const { return table_.size(); }
@@ -139,6 +151,7 @@ class PageTable
     std::unordered_map<PageNum, Pte> table_;
     std::unordered_map<PageNum, std::vector<PageNum>> rmap_;
     std::vector<PhysPageDescriptor> ppds_;
+    WaiterList remapWaiters_;
 };
 
 } // namespace nomad

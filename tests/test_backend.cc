@@ -120,7 +120,7 @@ TEST_F(BackEndTest, CriticalDataFirstFetchesPrioritizedSubBlock)
                                 nullptr);
     Tick served = 0;
     read_req->onComplete = [&](Tick t) { served = t; };
-    const auto result = backend.access(read_req);
+    const auto result = backend.access(read_req, nullptr);
     EXPECT_EQ(result, NomadBackEnd::AccessResult::Pending);
     ASSERT_TRUE(runUntil([&]() { return served != 0; }));
     // The prioritized block arrives long before the full page copy.
@@ -135,7 +135,7 @@ TEST_F(BackEndTest, DataHitWhenNoPcshrMatches)
     backend.sendCacheFill(7, 50, 0, nullptr, nullptr);
     auto req = makeRequest(9ULL << PageShift, false, Category::Demand,
                            MemSpace::OnPackage, 0, nullptr);
-    EXPECT_EQ(backend.access(req), NomadBackEnd::AccessResult::DataHit);
+    EXPECT_EQ(backend.access(req, nullptr), NomadBackEnd::AccessResult::DataHit);
     expectDrained();
 }
 
@@ -158,7 +158,7 @@ TEST_F(BackEndTest, BufferHitServesReadWithoutHbmAccess)
                                Category::Demand, MemSpace::OnPackage,
                                sim.now(),
                                [&](Tick t) { served = t; });
-        const auto res = backend.access(req);
+        const auto res = backend.access(req, nullptr);
         if (res == NomadBackEnd::AccessResult::DataHit) {
             served = sim.now(); // Fill already completed: also fine.
             return true;
@@ -180,7 +180,7 @@ TEST_F(BackEndTest, WriteDataMissAbsorbedAndReadSkipped)
     auto wr = makeRequest((4ULL << PageShift) + 60 * BlockBytes, true,
                           Category::Demand, MemSpace::OnPackage,
                           sim.now(), [&](Tick t) { done = t; });
-    EXPECT_EQ(backend.access(wr),
+    EXPECT_EQ(backend.access(wr, nullptr),
               NomadBackEnd::AccessResult::Serviced);
     EXPECT_GT(done, 0u);
     EXPECT_EQ(backend.bufferWrites.value(), 1.0);
@@ -205,7 +205,7 @@ TEST_F(BackEndTest, SubEntriesBoundedAndRejectBeyond)
         auto rd = makeRequest(
             (5ULL << PageShift) + (50 + i) * BlockBytes, false,
             Category::Demand, MemSpace::OnPackage, 0, [](Tick) {});
-        const auto res = backend.access(rd);
+        const auto res = backend.access(rd, nullptr);
         pending += res == NomadBackEnd::AccessResult::Pending;
         rejected += res == NomadBackEnd::AccessResult::Reject;
     }
@@ -233,7 +233,7 @@ TEST_F(BackEndTest, WritebackPcshrDoesNotMatchDataAccesses)
     backend.sendWriteback(6, 90, nullptr, nullptr);
     auto req = makeRequest(6ULL << PageShift, false, Category::Demand,
                            MemSpace::OnPackage, 0, nullptr);
-    EXPECT_EQ(backend.access(req), NomadBackEnd::AccessResult::DataHit)
+    EXPECT_EQ(backend.access(req, nullptr), NomadBackEnd::AccessResult::DataHit)
         << "only cache-fill PCSHRs gate DC accesses";
     expectDrained();
 }

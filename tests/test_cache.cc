@@ -13,6 +13,7 @@
 
 #include "cache/sram_cache.hh"
 #include "sim/rng.hh"
+#include "sim/waiter.hh"
 
 namespace nomad
 {
@@ -24,10 +25,12 @@ class ScriptedMemory : public MemPort
 {
   public:
     bool
-    tryAccess(const MemRequestPtr &req) override
+    tryAccess(const MemRequestPtr &req, PortWaiter *waiter) override
     {
-        if (rejectAll)
+        if (rejectAll) {
+            waiters.park(waiter);
             return false;
+        }
         if (req->isWrite) {
             writes.push_back(req);
             req->complete(0);
@@ -47,9 +50,18 @@ class ScriptedMemory : public MemPort
         req->complete(when);
     }
 
+    /** Stop refusing and wake every parked sender. */
+    void
+    release()
+    {
+        rejectAll = false;
+        waiters.wakeAll();
+    }
+
     std::deque<MemRequestPtr> reads;
     std::deque<MemRequestPtr> writes;
     bool rejectAll = false;
+    WaiterList waiters;
 };
 
 class CacheTest : public ::testing::Test
@@ -84,7 +96,7 @@ class CacheTest : public ::testing::Test
 TEST_F(CacheTest, ColdMissFetchesAndInstalls)
 {
     bool done = false;
-    ASSERT_TRUE(cache->tryAccess(read(0x100, &done)));
+    ASSERT_TRUE(cache->tryAccess(read(0x100, &done), nullptr));
     EXPECT_EQ(cache->misses.value(), 1.0);
     ASSERT_EQ(mem.reads.size(), 1u);
     EXPECT_EQ(mem.reads.front()->addr, blockAlign(Addr{0x100}));
@@ -96,9 +108,9 @@ TEST_F(CacheTest, ColdMissFetchesAndInstalls)
 TEST_F(CacheTest, HitCompletesAfterHitLatency)
 {
     bool done = false;
-    cache->tryAccess(read(0x100));
+    cache->tryAccess(read(0x100), nullptr);
     mem.respondOne(10);
-    ASSERT_TRUE(cache->tryAccess(read(0x108, &done)));
+    ASSERT_TRUE(cache->tryAccess(read(0x108, &done), nullptr));
     EXPECT_EQ(cache->hits.value(), 1.0);
     EXPECT_FALSE(done) << "hit completes after hitLatency, not inline";
     sim.run(params.hitLatency + 1);
@@ -108,8 +120,8 @@ TEST_F(CacheTest, HitCompletesAfterHitLatency)
 TEST_F(CacheTest, ConcurrentMissesMergeIntoOneFill)
 {
     bool a = false, b = false;
-    cache->tryAccess(read(0x200, &a));
-    cache->tryAccess(read(0x210, &b));
+    cache->tryAccess(read(0x200, &a), nullptr);
+    cache->tryAccess(read(0x210, &b), nullptr);
     EXPECT_EQ(cache->misses.value(), 1.0);
     EXPECT_EQ(cache->missesMerged.value(), 1.0);
     ASSERT_EQ(mem.reads.size(), 1u);
@@ -120,10 +132,10 @@ TEST_F(CacheTest, ConcurrentMissesMergeIntoOneFill)
 
 TEST_F(CacheTest, MergeTargetsBounded)
 {
-    cache->tryAccess(read(0x200));
-    ASSERT_TRUE(cache->tryAccess(read(0x208)));
+    cache->tryAccess(read(0x200), nullptr);
+    ASSERT_TRUE(cache->tryAccess(read(0x208), nullptr));
     // targetsPerMshr = 2: the third access to the block is refused.
-    EXPECT_FALSE(cache->tryAccess(read(0x210)));
+    EXPECT_FALSE(cache->tryAccess(read(0x210), nullptr));
     EXPECT_EQ(cache->rejects.value(), 1.0);
 }
 
@@ -131,11 +143,11 @@ TEST_F(CacheTest, MshrPoolBounded)
 {
     for (int i = 0; i < 4; ++i)
         ASSERT_TRUE(cache->tryAccess(
-            read(static_cast<Addr>(i) * BlockBytes)));
-    EXPECT_FALSE(cache->tryAccess(read(0x10000)));
+            read(static_cast<Addr>(i) * BlockBytes), nullptr));
+    EXPECT_FALSE(cache->tryAccess(read(0x10000), nullptr));
     EXPECT_EQ(cache->rejects.value(), 1.0);
     mem.respondOne(10);
-    EXPECT_TRUE(cache->tryAccess(read(0x10000)));
+    EXPECT_TRUE(cache->tryAccess(read(0x10000), nullptr));
 }
 
 TEST_F(CacheTest, DirtyVictimWritesBack)
@@ -145,11 +157,11 @@ TEST_F(CacheTest, DirtyVictimWritesBack)
     for (int w = 0; w < 4; ++w) {
         auto wr = makeRequest(w * set_stride, true, Category::Demand,
                               MemSpace::OffPackage, sim.now());
-        cache->tryAccess(wr);
+        cache->tryAccess(wr, nullptr);
         mem.respondOne(10); // Write-allocate fill.
     }
     EXPECT_EQ(mem.writes.size(), 0u);
-    cache->tryAccess(read(4 * set_stride));
+    cache->tryAccess(read(4 * set_stride), nullptr);
     mem.respondOne(20); // Fill for the new line evicts the LRU way.
     ASSERT_EQ(mem.writes.size(), 1u);
     EXPECT_EQ(mem.writes.front()->addr, 0u);
@@ -162,7 +174,7 @@ TEST_F(CacheTest, FullLineWritebackInstallsWithoutFill)
     auto wb = makeRequest(0x300, true, Category::Demand,
                           MemSpace::OffPackage, sim.now());
     wb->fullLine = true;
-    ASSERT_TRUE(cache->tryAccess(wb));
+    ASSERT_TRUE(cache->tryAccess(wb, nullptr));
     EXPECT_EQ(mem.reads.size(), 0u) << "no fetch for a full-line write";
     EXPECT_TRUE(cache->isCached(MemSpace::OffPackage, 0x300));
     EXPECT_EQ(cache->misses.value(), 0.0);
@@ -170,13 +182,13 @@ TEST_F(CacheTest, FullLineWritebackInstallsWithoutFill)
 
 TEST_F(CacheTest, AddressSpacesDoNotAlias)
 {
-    cache->tryAccess(read(0x400));
+    cache->tryAccess(read(0x400), nullptr);
     mem.respondOne(10);
     EXPECT_TRUE(cache->isCached(MemSpace::OffPackage, 0x400));
     EXPECT_FALSE(cache->isCached(MemSpace::OnPackage, 0x400));
     auto req = makeRequest(0x400, false, Category::Demand,
                            MemSpace::OnPackage, sim.now(), nullptr);
-    cache->tryAccess(req);
+    cache->tryAccess(req, nullptr);
     EXPECT_EQ(cache->misses.value(), 2.0)
         << "the on-package copy misses independently";
 }
@@ -186,10 +198,10 @@ TEST_F(CacheTest, InvalidateRangeFlushesDirtyAndDiscardsFills)
     // Dirty line in the range.
     auto wr = makeRequest(0x500, true, Category::Demand,
                           MemSpace::OffPackage, sim.now());
-    cache->tryAccess(wr);
+    cache->tryAccess(wr, nullptr);
     mem.respondOne(10);
     // In-flight fill into the range.
-    cache->tryAccess(read(0x540));
+    cache->tryAccess(read(0x540), nullptr);
     const auto killed =
         cache->invalidateRange(MemSpace::OffPackage, 0x500, 0x100);
     EXPECT_EQ(killed, 1u);
@@ -204,12 +216,12 @@ TEST_F(CacheTest, LruPolicyEvictsLeastRecent)
 {
     const Addr set_stride = 16 * BlockBytes;
     for (int w = 0; w < 4; ++w) {
-        cache->tryAccess(read(w * set_stride));
+        cache->tryAccess(read(w * set_stride), nullptr);
         mem.respondOne(10);
     }
     // Touch way 0 so way 1 becomes LRU.
-    cache->tryAccess(read(0));
-    cache->tryAccess(read(4 * set_stride));
+    cache->tryAccess(read(0), nullptr);
+    cache->tryAccess(read(4 * set_stride), nullptr);
     mem.respondOne(20);
     EXPECT_TRUE(cache->isCached(MemSpace::OffPackage, 0));
     EXPECT_FALSE(cache->isCached(MemSpace::OffPackage, set_stride));
@@ -218,12 +230,156 @@ TEST_F(CacheTest, LruPolicyEvictsLeastRecent)
 TEST_F(CacheTest, DownstreamBackpressureRetries)
 {
     mem.rejectAll = true;
-    cache->tryAccess(read(0x600));
+    cache->tryAccess(read(0x600), nullptr);
     EXPECT_EQ(mem.reads.size(), 0u);
     sim.run(3);
-    mem.rejectAll = false;
-    sim.run(3); // tick() retries the send queue.
+    EXPECT_EQ(mem.reads.size(), 0u) << "a parked queue does not poll";
+    mem.release();
+    sim.run(3); // tick() retries the woken send queue.
     EXPECT_EQ(mem.reads.size(), 1u);
+}
+
+/**
+ * A clocked sender on the retry-on-release protocol: offers its one
+ * request whenever it is due, parks on refusal, and sleeps
+ * (nextWorkTick() == MaxTick) until the refusing target wakes it.
+ */
+class ParkingSender
+{
+  public:
+    ParkingSender(Simulation &sim, MemPort &target, MemRequestPtr req)
+        : sim_(sim), target_(target), req_(std::move(req))
+    {
+        waiter_.bind(sim, sim.addClocked(this, 1));
+    }
+
+    void
+    tick()
+    {
+        if (!req_ || waiter_.blocked())
+            return;
+        ++attempts;
+        if (target_.tryAccess(req_, &waiter_)) {
+            acceptedAt = sim_.now();
+            req_.reset();
+        }
+    }
+
+    bool idle() const { return !req_; }
+
+    Tick
+    nextWorkTick() const
+    {
+        return !req_ || waiter_.blocked() ? MaxTick : Tick(0);
+    }
+
+    bool parked() const { return waiter_.blocked(); }
+    bool accepted() const { return acceptedAt != MaxTick; }
+
+    int attempts = 0;
+    Tick acceptedAt = MaxTick;
+
+  private:
+    Simulation &sim_;
+    MemPort &target_;
+    MemRequestPtr req_;
+    PortWaiter waiter_;
+};
+
+/** Occupy all four MSHRs with misses to distinct blocks. */
+void
+fillMshrs(SramCache &cache, ScriptedMemory &mem)
+{
+    for (Addr a = 0; a < 4; ++a) {
+        ASSERT_TRUE(cache.tryAccess(
+            makeRequest(0x10000 + a * 0x1000, false, Category::Demand,
+                        MemSpace::OffPackage, 0),
+            nullptr));
+    }
+    ASSERT_EQ(mem.reads.size(), 4u);
+}
+
+TEST_F(CacheTest, ParkedSenderIsWokenByAFill)
+{
+    fillMshrs(*cache, mem);
+    ParkingSender s(sim, *cache, read(0x5000));
+    sim.run(5);
+    EXPECT_EQ(s.attempts, 1) << "a refused sender parks, never polls";
+    EXPECT_TRUE(s.parked());
+    EXPECT_EQ(cache->rejects.value(), 1.0);
+    EXPECT_EQ(cache->parkedSenders(), 1u);
+
+    mem.respondOne(sim.now()); // Frees an MSHR and wakes the sender.
+    EXPECT_FALSE(s.parked());
+    EXPECT_EQ(cache->parkedSenders(), 0u);
+    sim.run(2);
+    EXPECT_TRUE(s.accepted());
+    EXPECT_EQ(s.attempts, 2);
+    EXPECT_EQ(cache->misses.value(), 5.0);
+}
+
+TEST_F(CacheTest, ParkedSenderIsWokenByInvalidateRange)
+{
+    // targetsPerMshr = 2: a third access to the block is refused
+    // until the MSHR stops accepting merges.
+    cache->tryAccess(read(0x200), nullptr);
+    cache->tryAccess(read(0x208), nullptr);
+    ParkingSender s(sim, *cache, read(0x210));
+    sim.run(5);
+    ASSERT_TRUE(s.parked());
+    EXPECT_EQ(s.attempts, 1);
+
+    // Discarding the MSHR lets the retry allocate a fresh one.
+    cache->invalidateRange(MemSpace::OffPackage, 0x200, BlockBytes);
+    EXPECT_FALSE(s.parked());
+    sim.run(2);
+    EXPECT_TRUE(s.accepted());
+    EXPECT_EQ(s.attempts, 2);
+    EXPECT_EQ(cache->misses.value(), 2.0);
+}
+
+TEST_F(CacheTest, ParkedSenderIsWokenByAFullLineInstall)
+{
+    fillMshrs(*cache, mem);
+    ParkingSender s(sim, *cache, read(0x7008));
+    sim.run(5);
+    ASSERT_TRUE(s.parked());
+
+    // A full-line writeback of the block installs it without an MSHR;
+    // the woken retry hits the installed line.
+    auto wb = makeRequest(0x7000, true, Category::Demand,
+                          MemSpace::OffPackage, sim.now());
+    wb->fullLine = true;
+    ASSERT_TRUE(cache->tryAccess(wb, nullptr));
+    EXPECT_FALSE(s.parked());
+    sim.run(2);
+    EXPECT_TRUE(s.accepted());
+    EXPECT_EQ(cache->hits.value(), 2.0); // The install, then the retry.
+}
+
+TEST_F(CacheTest, WokenSendersRefireInRegistrationOrder)
+{
+    fillMshrs(*cache, mem);
+    ParkingSender first(sim, *cache, read(0x5000));
+    ParkingSender second(sim, *cache, read(0x6000));
+    ParkingSender third(sim, *cache, read(0x7000));
+    sim.run(5);
+    ASSERT_TRUE(first.parked() && second.parked() && third.parked());
+    EXPECT_EQ(cache->parkedSenders(), 3u);
+
+    // One freed MSHR wakes all three; the first-registered sender
+    // wins it, exactly as under per-tick polling, and the others are
+    // refused once more and park again.
+    mem.respondOne(sim.now());
+    sim.run(3);
+    EXPECT_TRUE(first.accepted());
+    EXPECT_FALSE(second.accepted());
+    EXPECT_FALSE(third.accepted());
+    EXPECT_EQ(second.attempts, 2);
+    EXPECT_EQ(third.attempts, 2);
+    EXPECT_TRUE(second.parked() && third.parked());
+    EXPECT_EQ(cache->rejects.value(), 5.0);
+    EXPECT_EQ(cache->parkedSenders(), 2u);
 }
 
 /** Property: under random traffic with eager responses, accounting is
@@ -254,7 +410,7 @@ TEST_P(CacheRandomTraffic, ConservationAndReachability)
         auto req = makeRequest(addr, rng.chance(0.3), Category::Demand,
                                MemSpace::OffPackage, sim.now(),
                                nullptr);
-        if (cache.tryAccess(req)) {
+        if (cache.tryAccess(req, nullptr)) {
             ++accepted;
             touched.insert(addr);
         }
@@ -297,16 +453,16 @@ TEST(CacheFifo, FifoEvictsOldestInsert)
     for (int w = 0; w < 4; ++w) {
         auto req = makeRequest(w * set_stride, false, Category::Demand,
                                MemSpace::OffPackage, 0, nullptr);
-        cache.tryAccess(req);
+        cache.tryAccess(req, nullptr);
         mem.respondOne(10);
     }
     // Touch way 0 (irrelevant under FIFO), then insert a 5th line.
     auto req = makeRequest(0, false, Category::Demand,
                            MemSpace::OffPackage, 0, nullptr);
-    cache.tryAccess(req);
+    cache.tryAccess(req, nullptr);
     auto req5 = makeRequest(4 * set_stride, false, Category::Demand,
                             MemSpace::OffPackage, 0, nullptr);
-    cache.tryAccess(req5);
+    cache.tryAccess(req5, nullptr);
     mem.respondOne(20);
     EXPECT_FALSE(cache.isCached(MemSpace::OffPackage, 0))
         << "FIFO evicts the oldest insert even if recently used";

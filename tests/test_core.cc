@@ -46,8 +46,9 @@ class FixedLatencyMem : public MemPort, public Clocked
     }
 
     bool
-    tryAccess(const MemRequestPtr &req) override
+    tryAccess(const MemRequestPtr &req, PortWaiter *waiter) override
     {
+        (void)waiter; // Never refuses.
         ++accesses;
         if (req->isWrite) {
             req->complete(sim_.now());

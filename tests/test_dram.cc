@@ -13,6 +13,7 @@
 
 #include "dram/device.hh"
 #include "sim/rng.hh"
+#include "sim/waiter.hh"
 
 namespace nomad
 {
@@ -28,7 +29,7 @@ timedRead(Simulation &sim, DramDevice &dev, Addr addr)
     auto req = makeRequest(addr, false, Category::Demand,
                            MemSpace::OffPackage, start,
                            [&](Tick when) { done = when; });
-    EXPECT_TRUE(dev.tryAccess(req));
+    EXPECT_TRUE(dev.tryAccess(req, nullptr));
     while (done == 0)
         sim.run(100);
     return done - start;
@@ -165,14 +166,14 @@ TEST(DramDevice, EnergyAccumulatesPerOperation)
     Tick done = 0;
     dev.tryAccess(makeRequest(0, false, Category::Demand,
                               MemSpace::OffPackage, 0,
-                              [&](Tick when) { done = when; }));
+                              [&](Tick when) { done = when; }), nullptr);
     while (done == 0)
         sim.run(100);
     // One ACT + one RD at minimum.
     EXPECT_GE(dev.stats().energyPj.value(), t.eActPre + t.eRead);
     const double after_read = dev.stats().energyPj.value();
     dev.tryAccess(makeRequest(64, true, Category::Demand,
-                              MemSpace::OffPackage, 0));
+                              MemSpace::OffPackage, 0), nullptr);
     sim.run(200);
     EXPECT_GE(dev.stats().energyPj.value(), after_read + t.eWrite);
 }
@@ -233,7 +234,7 @@ TEST(DramDevice, WritesCompleteOnAcceptance)
     auto req = makeRequest(0, true, Category::Demand,
                            MemSpace::OffPackage, 0,
                            [&](Tick) { done = true; });
-    EXPECT_TRUE(dev.tryAccess(req));
+    EXPECT_TRUE(dev.tryAccess(req, nullptr));
     EXPECT_TRUE(done) << "posted write must complete at acceptance";
     EXPECT_EQ(dev.stats().writeReqs.value(), 1.0);
 }
@@ -243,11 +244,11 @@ TEST(DramDevice, ReadForwardsFromWriteQueue)
     Simulation sim;
     DramDevice dev(sim, "dram", DramTiming::ddr4_3200());
     dev.tryAccess(makeRequest(128, true, Category::Demand,
-                              MemSpace::OffPackage, 0));
+                              MemSpace::OffPackage, 0), nullptr);
     Tick done = 0;
     dev.tryAccess(makeRequest(128, false, Category::Demand,
                               MemSpace::OffPackage, 0,
-                              [&](Tick when) { done = when; }));
+                              [&](Tick when) { done = when; }), nullptr);
     sim.run(10);
     EXPECT_GT(done, 0u);
     EXPECT_EQ(dev.stats().forwards.value(), 1.0);
@@ -258,9 +259,9 @@ TEST(DramDevice, DuplicateWritesMerge)
     Simulation sim;
     DramDevice dev(sim, "dram", DramTiming::ddr4_3200());
     dev.tryAccess(makeRequest(64, true, Category::Demand,
-                              MemSpace::OffPackage, 0));
+                              MemSpace::OffPackage, 0), nullptr);
     dev.tryAccess(makeRequest(64 + 8, true, Category::Demand,
-                              MemSpace::OffPackage, 0));
+                              MemSpace::OffPackage, 0), nullptr);
     EXPECT_EQ(dev.stats().mergedWrites.value(), 1.0);
 }
 
@@ -275,11 +276,139 @@ TEST(DramDevice, BackpressureWhenQueueFull)
     for (int i = 0; i < 10; ++i) {
         if (dev.tryAccess(makeRequest(
                 static_cast<Addr>(i) * (1 << 20), false,
-                Category::Demand, MemSpace::OffPackage, 0))) {
+                Category::Demand, MemSpace::OffPackage, 0), nullptr)) {
             ++accepted;
         }
     }
     EXPECT_EQ(accepted, 4);
+}
+
+/**
+ * A clocked sender on the retry-on-release protocol: offers its one
+ * request whenever it is due, parks on refusal, and sleeps until the
+ * refusing channel wakes it.
+ */
+class ParkingSender
+{
+  public:
+    ParkingSender(Simulation &sim, MemPort &target, MemRequestPtr req)
+        : sim_(sim), target_(target), req_(std::move(req))
+    {
+        waiter_.bind(sim, sim.addClocked(this, 1));
+    }
+
+    void
+    tick()
+    {
+        if (!req_ || waiter_.blocked())
+            return;
+        ++attempts;
+        if (target_.tryAccess(req_, &waiter_)) {
+            acceptedAt = sim_.now();
+            req_.reset();
+        }
+    }
+
+    bool idle() const { return !req_; }
+
+    Tick
+    nextWorkTick() const
+    {
+        return !req_ || waiter_.blocked() ? MaxTick : Tick(0);
+    }
+
+    bool parked() const { return waiter_.blocked(); }
+    bool accepted() const { return acceptedAt != MaxTick; }
+
+    int attempts = 0;
+    Tick acceptedAt = MaxTick;
+
+  private:
+    Simulation &sim_;
+    MemPort &target_;
+    MemRequestPtr req_;
+    PortWaiter waiter_;
+};
+
+/** One DDR channel whose read queue holds two entries. */
+DramTiming
+tinyReadQueue()
+{
+    DramTiming t = DramTiming::ddr4_3200();
+    t.readQueueDepth = 2;
+    t.channels = 1;
+    return t;
+}
+
+/** Fill the read queue with reads to distinct rows. */
+void
+fillReadQueue(DramDevice &dev)
+{
+    for (Addr i = 1; i <= 2; ++i) {
+        ASSERT_TRUE(dev.tryAccess(
+            makeRequest(i << 24, false, Category::Demand,
+                        MemSpace::OffPackage, 0),
+            nullptr));
+    }
+}
+
+TEST(DramDevice, QueuedWriteAdmitsParkedReadByForwarding)
+{
+    Simulation sim;
+    DramDevice dev(sim, "dram", tinyReadQueue());
+    fillReadQueue(dev);
+    ParkingSender s(sim, dev,
+                    makeRequest(0x4000, false, Category::Demand,
+                                MemSpace::OffPackage, 0));
+    sim.run(1);
+    ASSERT_TRUE(s.parked());
+    EXPECT_EQ(dev.parkedSenders(), 1u);
+
+    // The queued write holds the block's newest data: the woken read
+    // forwards from it while the read queue is still full.
+    ASSERT_TRUE(dev.tryAccess(makeRequest(0x4000, true, Category::Demand,
+                                          MemSpace::OffPackage,
+                                          sim.now()),
+                              nullptr));
+    EXPECT_FALSE(s.parked());
+    sim.run(1);
+    EXPECT_TRUE(s.accepted());
+    EXPECT_EQ(s.attempts, 2);
+    EXPECT_EQ(dev.stats().forwards.value(), 1.0);
+    EXPECT_EQ(dev.channel(0).readQueueSize(), 2u);
+    EXPECT_EQ(dev.parkedSenders(), 0u);
+}
+
+TEST(DramDevice, CasIssueWakesParkedReadsInRegistrationOrder)
+{
+    Simulation sim;
+    DramDevice dev(sim, "dram", tinyReadQueue());
+    fillReadQueue(dev);
+    ParkingSender first(sim, dev,
+                        makeRequest(3ULL << 24, false, Category::Demand,
+                                    MemSpace::OffPackage, 0));
+    ParkingSender second(sim, dev,
+                         makeRequest(4ULL << 24, false,
+                                     Category::Demand,
+                                     MemSpace::OffPackage, 0));
+    sim.run(1);
+    ASSERT_TRUE(first.parked() && second.parked());
+
+    // Each CAS frees one slot and wakes both senders; the earlier-
+    // registered one takes the first slot, the other re-parks and
+    // takes the next.
+    for (int i = 0; i < 10'000 && !first.accepted(); ++i)
+        sim.run(1);
+    ASSERT_TRUE(first.accepted()) << "a freed slot must wake the queue";
+    EXPECT_EQ(first.attempts, 2);
+    EXPECT_FALSE(second.accepted());
+    EXPECT_TRUE(second.parked());
+    EXPECT_EQ(second.attempts, 2);
+    for (int i = 0; i < 10'000 && !second.accepted(); ++i)
+        sim.run(1);
+    ASSERT_TRUE(second.accepted());
+    EXPECT_EQ(second.attempts, 3);
+    EXPECT_GT(second.acceptedAt, first.acceptedAt);
 }
 
 TEST(DramDevice, RefreshHappens)
@@ -290,13 +419,13 @@ TEST(DramDevice, RefreshHappens)
     Tick done = 0;
     dev.tryAccess(makeRequest(0, false, Category::Demand,
                               MemSpace::OffPackage, 0,
-                              [&](Tick when) { done = when; }));
+                              [&](Tick when) { done = when; }), nullptr);
     const Tick refi_ticks =
         static_cast<Tick>(dev.timing().tREFI) * dev.timing().clkRatio;
     sim.run(3 * refi_ticks);
     // Issue another access so post-refresh work happens.
     dev.tryAccess(makeRequest(BlockBytes, false, Category::Demand,
-                              MemSpace::OffPackage, 0));
+                              MemSpace::OffPackage, 0), nullptr);
     sim.run(refi_ticks);
     EXPECT_GE(dev.stats().refreshes.value(), 1.0);
 }
@@ -306,9 +435,9 @@ TEST(DramDevice, CategoryAccounting)
     Simulation sim;
     DramDevice dev(sim, "dram", DramTiming::ddr4_3200());
     dev.tryAccess(makeRequest(0, false, Category::Fill,
-                              MemSpace::OffPackage, 0));
+                              MemSpace::OffPackage, 0), nullptr);
     dev.tryAccess(makeRequest(1 << 20, true, Category::Writeback,
-                              MemSpace::OffPackage, 0));
+                              MemSpace::OffPackage, 0), nullptr);
     sim.run(500);
     const auto &s = dev.stats();
     EXPECT_EQ(
@@ -356,7 +485,7 @@ TEST_P(DramRandomTraffic, AllReadsCompleteWithinBounds)
                     if (when > issue_tick)
                         min_lat = std::min(min_lat, when - issue_tick);
                 });
-            if (dev.tryAccess(req))
+            if (dev.tryAccess(req, nullptr))
                 ++issued;
         }
         sim.run(8);

@@ -55,7 +55,7 @@ TEST_F(SchemeTest, TidHitCostsMetadataBandwidth)
     auto miss = makeRequest(0x10000, false, Category::Demand,
                             MemSpace::OffPackage, 0,
                             [&](Tick t) { done = t; });
-    ASSERT_TRUE(tid.tryAccess(miss));
+    ASSERT_TRUE(tid.tryAccess(miss, nullptr));
     EXPECT_EQ(tid.dcMisses.value(), 1.0);
     ASSERT_TRUE(runUntil([&]() { return done != 0; }));
     ASSERT_TRUE(runUntil([&]() { return tid.idle(); }));
@@ -65,7 +65,7 @@ TEST_F(SchemeTest, TidHitCostsMetadataBandwidth)
     auto hit = makeRequest(0x10000 + 64, false, Category::Demand,
                            MemSpace::OffPackage, sim.now(),
                            [&](Tick t) { done2 = t; });
-    ASSERT_TRUE(tid.tryAccess(hit));
+    ASSERT_TRUE(tid.tryAccess(hit, nullptr));
     EXPECT_EQ(tid.dcHits.value(), 1.0);
     EXPECT_EQ(tid.tagReads.value(), tag_reads + 1)
         << "every DC access reads a tag burst from on-package DRAM";
@@ -93,7 +93,7 @@ TEST_F(SchemeTest, TidLineFillMovesWholeLineCriticalBlockFirst)
                                 done = t;
                                 fill_still_active = !tid.idle();
                             });
-    ASSERT_TRUE(tid.tryAccess(miss));
+    ASSERT_TRUE(tid.tryAccess(miss, nullptr));
     ASSERT_TRUE(runUntil([&]() { return done != 0; }));
     EXPECT_TRUE(fill_still_active)
         << "the demand block waited for the full line";
@@ -115,13 +115,13 @@ TEST_F(SchemeTest, TidConflictEvictionWritesBackDirtyLine)
     for (int w = 0; w < 4; ++w) {
         auto wr = makeRequest(w * set_stride, true, Category::Demand,
                               MemSpace::OffPackage, 0, nullptr);
-        ASSERT_TRUE(tid.tryAccess(wr));
+        ASSERT_TRUE(tid.tryAccess(wr, nullptr));
         ASSERT_TRUE(runUntil([&]() { return tid.idle(); }));
     }
     // A fifth line conflicts.
     auto rd = makeRequest(4 * set_stride, false, Category::Demand,
                           MemSpace::OffPackage, sim.now(), [](Tick) {});
-    ASSERT_TRUE(tid.tryAccess(rd));
+    ASSERT_TRUE(tid.tryAccess(rd, nullptr));
     ASSERT_TRUE(runUntil([&]() { return tid.idle(); }));
     EXPECT_EQ(tid.conflictEvictions.value(), 1.0);
     EXPECT_EQ(tid.dirtyWritebacks.value(), 1.0);
@@ -141,7 +141,7 @@ TEST_F(SchemeTest, TidMergesAccessesToInFlightLines)
         auto rd = makeRequest(0x30000 + i * 64, false, Category::Demand,
                               MemSpace::OffPackage, 0,
                               [&](Tick) { ++done; });
-        ASSERT_TRUE(tid.tryAccess(rd));
+        ASSERT_TRUE(tid.tryAccess(rd, nullptr));
     }
     EXPECT_EQ(tid.dcMisses.value(), 1.0);
     EXPECT_EQ(tid.dcMissesMerged.value(), 3.0);
@@ -156,7 +156,7 @@ TEST_F(SchemeTest, NomadDataHitForwardsToHbm)
     auto rd = makeRequest(5ULL << PageShift, false, Category::Demand,
                           MemSpace::OnPackage, 0,
                           [&](Tick t) { done = t; });
-    ASSERT_TRUE(nomad.tryAccess(rd));
+    ASSERT_TRUE(nomad.tryAccess(rd, nullptr));
     ASSERT_TRUE(runUntil([&]() { return done != 0; }));
     EXPECT_EQ(nomad.backEnd(0).dataHits.value(), 1.0);
     EXPECT_EQ(hbm.stats().readReqs.value(), 1.0);
@@ -180,7 +180,7 @@ TEST_F(SchemeTest, NomadControllerQueueAbsorbsSubEntryOverflow)
                               false, Category::Demand,
                               MemSpace::OnPackage, 0,
                               [&](Tick) { ++done; });
-        ASSERT_TRUE(nomad.tryAccess(rd)) << "i=" << i;
+        ASSERT_TRUE(nomad.tryAccess(rd, nullptr)) << "i=" << i;
     }
     ASSERT_TRUE(runUntil([&]() { return done == 6; }));
 }
