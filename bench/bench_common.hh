@@ -30,11 +30,6 @@
  *   --check-invariants   model invariant checks + drain audit
  *   --watchdog=TICKS     forward-progress watchdog threshold
  *   --copy-timeout=T     per-page-copy retry timeout in ticks
- *
- * plus the run-loop selector:
- *
- *   --legacy-kernel      drive components with the global-tick poll
- *                        loop (reference; byte-identical output)
  */
 
 #ifndef NOMAD_BENCH_COMMON_HH
@@ -80,7 +75,6 @@ struct Observability
     std::uint64_t baseSeed = 12345;    ///< --seed.
     unsigned jobs = 1;                 ///< --jobs (ported benches).
     double timeoutSeconds = 0;         ///< --timeout (0: none).
-    bool legacyKernel = false;         ///< --legacy-kernel.
     HardenConfig harden;               ///< --fault-spec et al.
     /** --scheme filter, resolved to kinds; empty: bench default. */
     std::vector<SchemeKind> schemeFilter;
@@ -112,7 +106,7 @@ init(int argc, char **argv)
                      key != "check-invariants" &&
                      key != "watchdog" && key != "copy-timeout" &&
                      key != "out" && key != "label" &&
-                     key != "scheme" && key != "legacy-kernel",
+                     key != "scheme",
                  "unknown option --", key,
                  " (see docs/OBSERVABILITY.md)");
     }
@@ -125,7 +119,6 @@ init(int argc, char **argv)
     o.baseSeed = cfg.getUint("seed", 12345);
     o.jobs = static_cast<unsigned>(cfg.getUint("jobs", 1));
     o.timeoutSeconds = cfg.getDouble("timeout", 0);
-    o.legacyKernel = cfg.getBool("legacy-kernel", false);
     o.harden.faultSpec = cfg.getString("fault-spec");
     o.harden.checkInvariants = cfg.getBool("check-invariants", false);
     o.harden.watchdogTicks = cfg.getUint("watchdog", 0);
@@ -272,8 +265,6 @@ runConfigured(SystemConfig cfg, const std::string &label,
 {
     Observability &o = obs();
     cfg.obs.runLabel = label;
-    if (o.legacyKernel)
-        cfg.legacyKernel = true;
     if (o.harden.checkInvariants)
         cfg.harden.checkInvariants = true;
     if (!o.harden.faultSpec.empty())

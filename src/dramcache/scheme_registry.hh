@@ -93,10 +93,10 @@ struct SchemeEntry
 };
 
 /**
- * The process-wide scheme table. Thread-compatible like the rest of
- * the simulator: registration happens before any sweep spawns worker
- * threads (registerAllSchemes() runs from System construction and
- * config validation), and lookups are const.
+ * The process-wide scheme table. add() is not synchronised: all
+ * registration goes through registerAllSchemes(), whose body runs
+ * exactly once behind a function-local static, so sweep workers that
+ * construct Systems concurrently never race on it. Lookups are const.
  */
 class SchemeRegistry
 {

@@ -140,8 +140,7 @@ main(int argc, char **argv)
                      key != "fault-spec" && key != "check-invariants" &&
                      key != "watchdog" && key != "copy-timeout" &&
                      key != "retries" && key != "retry-backoff-ms" &&
-                     key != "campaign-dir" && key != "scheme" &&
-                     key != "legacy-kernel",
+                     key != "campaign-dir" && key != "scheme",
                  "unknown option --", key, " (see docs/RUNNER.md)");
     }
     if (cfg.getBool("list", false)) {
@@ -216,7 +215,6 @@ main(int argc, char **argv)
         opts.samplePeriod = cfg.getUint("sample-period", 5000);
     if (!cfg.getBool("quiet", false))
         opts.progress = Sweep::stderrProgress();
-    opts.legacyKernel = cfg.getBool("legacy-kernel", false);
     opts.harden.faultSpec = cfg.getString("fault-spec");
     opts.harden.checkInvariants =
         cfg.getBool("check-invariants", false);

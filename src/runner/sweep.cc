@@ -189,8 +189,6 @@ Sweep::run(const SweepOptions &opts)
         }
         if (opts.samplePeriod > 0)
             cfg.obs.samplePeriod = opts.samplePeriod;
-        if (opts.legacyKernel)
-            cfg.legacyKernel = true;
         if (opts.harden.checkInvariants)
             cfg.harden.checkInvariants = true;
         if (!opts.harden.faultSpec.empty())

@@ -53,8 +53,6 @@ struct SweepOptions
      * seed, so rerunning a failed job replays its faults exactly.
      */
     HardenConfig harden;
-    /** Run every job on the legacy polling kernel (--legacy-kernel). */
-    bool legacyKernel = false;
     /**
      * Failed/timed-out jobs are re-run up to this many extra times
      * with the same config (same derived seed), with exponential

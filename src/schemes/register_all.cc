@@ -8,16 +8,23 @@ namespace nomad
 void
 registerAllSchemes()
 {
-    SchemeRegistry &reg = SchemeRegistry::instance();
-    registerBaselineScheme(reg);
-    registerTidScheme(reg);
-    registerTdcScheme(reg);
-    registerNomadScheme(reg);
-    registerIdealScheme(reg);
-    registerTieringScheme(reg);
-    registerAlloyScheme(reg);
-    registerBansheeScheme(reg);
-    registerTdramScheme(reg);
+    // A function-local static runs the body exactly once; concurrent
+    // first callers (sweep workers each constructing a System) block
+    // until it has finished, so none reads a half-built table.
+    static const bool registered = [] {
+        SchemeRegistry &reg = SchemeRegistry::instance();
+        registerBaselineScheme(reg);
+        registerTidScheme(reg);
+        registerTdcScheme(reg);
+        registerNomadScheme(reg);
+        registerIdealScheme(reg);
+        registerTieringScheme(reg);
+        registerAlloyScheme(reg);
+        registerBansheeScheme(reg);
+        registerTdramScheme(reg);
+        return true;
+    }();
+    (void)registered;
 }
 
 } // namespace nomad

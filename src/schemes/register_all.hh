@@ -15,7 +15,10 @@
 namespace nomad
 {
 
-/** Register every built-in scheme. Idempotent; cheap after the first. */
+/**
+ * Register every built-in scheme. Runs its body once per process;
+ * thread-safe, and a later or concurrent call returns once it is done.
+ */
 void registerAllSchemes();
 
 } // namespace nomad

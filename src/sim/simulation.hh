@@ -3,22 +3,17 @@
  * The top-level simulation driver.
  *
  * Simulation owns the event queue, the statistics registry, and the list
- * of clocked components, and advances time with one of two kernels:
- *
- *  - EventDriven (default): a wake-queue scheduler. Each component
- *    registers the exact tick of its next real work (a short timing
- *    wheel of per-tick bitsets for near wakes, backed by a binary-heap
- *    calendar for far ones; FIFO-stable within a tick in registration
- *    order) and is not touched at all until that tick fires. External
- *    state changes re-register the component through pokeClocked().
- *    Elided no-op clock edges are batch-accounted through skipTicks()
- *    exactly as the polling kernel would, so output is byte-identical
- *    (docs/PERFORMANCE.md has the soundness argument).
- *
- *  - LegacyPolling: the historical loop that advances a global tick and
- *    polls every component's nextWorkTick()/skipTicks() hooks. Kept as
- *    the reference for the equivalence tests and selectable with
- *    --legacy-kernel.
+ * of clocked components, and advances time with a wake-queue kernel.
+ * Each component registers the exact tick of its next real work (a
+ * short timing wheel of per-tick bitsets for near wakes, backed by a
+ * binary-heap calendar for far ones; FIFO-stable within a tick in
+ * registration order) and is not touched at all until that tick fires.
+ * External state changes re-register the component through
+ * pokeClocked(). Elided no-op clock edges are batch-accounted through
+ * skipTicks(), so the result is equivalent to ticking every component
+ * on every one of its clock edges (docs/PERFORMANCE.md has the
+ * soundness argument). While every component is idle, time jumps
+ * straight to the next event.
  */
 
 #ifndef NOMAD_SIM_SIMULATION_HH
@@ -74,13 +69,6 @@ class Clocked
 class Simulation
 {
   public:
-    /** Which run-loop implementation drives the clocked components. */
-    enum class KernelMode
-    {
-        EventDriven,  ///< Wake-queue scheduler (default).
-        LegacyPolling ///< Global-tick poll loop (reference kernel).
-    };
-
     /** Identifies a registered clocked component (see addClocked). */
     using ClockedHandle = std::uint32_t;
     static constexpr ClockedHandle InvalidClockedHandle = ~0u;
@@ -95,16 +83,6 @@ class Simulation
 
     EventQueue &events() { return events_; }
     stats::StatRegistry &statistics() { return stats_; }
-
-    /** Select the run-loop kernel. Must not be changed mid-run. */
-    void
-    setKernelMode(KernelMode mode)
-    {
-        kernel_ = mode;
-        pokeArmed_ =
-            kernel_ == KernelMode::EventDriven && !rebuildPending_;
-    }
-    KernelMode kernelMode() const { return kernel_; }
 
     /**
      * Attach an event tracer. The sink is not owned and may be shared
@@ -161,8 +139,8 @@ class Simulation
      * vtable. Registering through a Clocked* still works and simply
      * keeps the virtual hop.
      *
-     * Components may additionally opt into wake scheduling (and the
-     * legacy loop's skip-ahead) by providing either or both of:
+     * Components may additionally opt into wake scheduling by
+     * providing either or both of:
      *
      *   Tick nextWorkTick() const;
      *     The earliest tick at which tick() does real work. A value
@@ -174,18 +152,22 @@ class Simulation
      *   void skipTicks(Tick n);
      *     Batch-account @p n elided no-op edges (cycle/stall
      *     counters). Components whose no-op edges have no accounting
-     *     at all simply omit it. Required for the event-driven kernel:
-     *     skipTicks must be a pure function of component state that is
-     *     frozen while edges are being elided, and a no-op whenever
-     *     idle() is true (all current implementations are).
+     *     at all simply omit it. skipTicks must be a pure function of
+     *     component state that is frozen while edges are being elided,
+     *     and a no-op whenever idle() is true (all current
+     *     implementations are).
+     *
+     * Under that contract the kernel is equivalent to ticking every
+     * component on every one of its clock edges: an elided edge and a
+     * ticked no-op edge leave identical state behind.
      *
      * A component that provides nextWorkTick() MUST call pokeClocked()
      * with its handle at the top of every externally-invoked method
      * (and every event callback body) that can change the answer —
-     * before mutating any state. The event-driven kernel relies on
-     * those pokes to flush elided-edge accounting against pre-mutation
-     * state and to re-register the wake tick; the legacy kernel treats
-     * pokes as no-ops.
+     * before mutating any state. The kernel relies on those pokes to
+     * flush elided-edge accounting against pre-mutation state, to
+     * re-register the wake tick, and to re-read idle() before it
+     * decides whether the whole system is idle.
      */
     template <typename T>
     ClockedHandle
@@ -215,23 +197,23 @@ class Simulation
         clocked_.push_back(e);
         const std::size_t words = (clocked_.size() + 63) / 64;
         dueBits_.resize(words, 0);
-        dirtyBits_.resize(words, 0);
-        latePoked_.resize(words, 0);
+        idleOwed_.resize(words, 0);
         for (auto &slot : wheel_)
             slot.resize(words, 0);
         return h;
     }
 
     /**
-     * Notify the event-driven kernel that component @p h is about to
-     * be mutated from outside its own tick(). Must be called BEFORE
-     * the mutation: it batch-accounts the component's elided no-op
-     * edges against the still-unmutated state and re-registers the
-     * component at the earliest clock edge the legacy loop could tick
-     * it, so a state change can never be slept through. Spurious pokes
-     * are harmless (a wake whose tick() turns out to be a no-op is
-     * accounted exactly like an elided edge). No-op under the legacy
-     * kernel and between run() calls.
+     * Notify the kernel that component @p h is about to be mutated
+     * from outside its own tick(). Must be called BEFORE the mutation:
+     * it batch-accounts the component's elided no-op edges against the
+     * still-unmutated state, re-registers the component at its
+     * earliest clock edge not yet ticked, so a state change can never
+     * be slept through, and owes the component an idle() re-read
+     * before this tick's fast-forward decision. Spurious pokes are
+     * harmless (a wake whose tick() turns out to be a no-op is
+     * accounted exactly like an elided edge). No-op between run()
+     * calls, whose first tick re-reads every component anyway.
      */
     void
     pokeClocked(ClockedHandle h)
@@ -252,9 +234,8 @@ class Simulation
         } else if (e.queued && e.wakeEdge == e.next) {
             // Passed entry already registered at its earliest
             // reachable edge (its settled e.next): nothing to account
-            // or move; only the idle re-read is owed after the branch
-            // decision.
-            setBit(latePoked_, h);
+            // or move; only the idle re-read is owed.
+            setBit(idleOwed_, h);
             return;
         }
         pokeSlow(h);
@@ -264,25 +245,15 @@ class Simulation
     void
     pokeSlow(ClockedHandle h)
     {
-        if (resumeWalk_) {
-            // The resume visit re-reads everything after the walk; a
-            // mutation of an already-visited entry must only defer its
-            // idle re-read past this tick's branch decision, exactly
-            // like the legacy loop's position-ordered idle reads.
-            if (static_cast<std::int64_t>(h) < firingIdx_)
-                setBit(latePoked_, h);
-            return;
-        }
         Entry &e = clocked_[h];
-        const bool passed = static_cast<std::int64_t>(h) < firingIdx_;
-        // The prologue's repeat-poke test can miss an entry with an
-        // unsettled lazy tail (e.next < now_); that tail is accounted
+        // A due entry with an unsettled lazy tail (e.next < now_) gets
+        // past the prologue's repeat-poke test; that tail is accounted
         // below while the pre-mutation state still holds.
-        if (!passed && e.next == now_ && testBit(dueBits_, h))
-            return;
-        // An entry the fire cursor already passed had its chance at
-        // now_; the legacy loop would next tick it at its following
-        // edge. Everyone else can still be ticked this very tick.
+        //
+        // An entry the fire cursor already passed has consumed its
+        // edge at now_, so its earliest unticked edge is the following
+        // one. Everyone else can still be ticked this very tick.
+        const bool passed = static_cast<std::int64_t>(h) < firingIdx_;
         const Tick bound = passed ? now_ + 1 : now_;
         Tick edge = e.next;
         if (bound > edge) {
@@ -321,22 +292,17 @@ class Simulation
                 clearWheelToken(e.wakeEdge, h);
             scheduleWake(edge, h);
         }
-        // Idle bookkeeping mirrors the legacy loop's interleaved
-        // reads: an entry behind the cursor was read pre-mutation this
-        // tick (re-read only after the branch decision); an entry
-        // ahead is re-read when the cursor crosses it.
-        if (passed)
-            setBit(latePoked_, h);
-        else if (!testBit(dueBits_, h))
-            setBit(dirtyBits_, h);
+        // A due entry re-reads idle() when it fires.
+        if (!testBit(dueBits_, h))
+            setBit(idleOwed_, h);
     }
 
   public:
     /**
      * Flush all batch-deferred skip accounting up to now(). Mid-run
      * statistics readers (the sampler's probes above all) call this so
-     * they observe exactly the state the legacy loop would have
-     * materialized at this event. No-op on the legacy kernel.
+     * they observe exactly the state that ticking every clock edge
+     * would have materialized at this event. No-op outside run().
      */
     void
     flushAccounting()
@@ -356,8 +322,54 @@ class Simulation
     Tick
     run(Tick max_ticks = MaxTick)
     {
-        return kernel_ == KernelMode::EventDriven ? runEvent(max_ticks)
-                                                  : runLegacy(max_ticks);
+        stopRequested_ = false;
+        const Tick start = now_;
+        const Tick end =
+            (max_ticks == MaxTick) ? MaxTick : now_ + max_ticks;
+        bool flushed = false;
+
+        while (!stopRequested_ && now_ < end) {
+            events_.advanceTo(now_);
+
+            const Tick T = now_;
+            if (!pokeArmed_) {
+                resumeVisit(T);
+                pokeArmed_ = true;
+            } else {
+                firePhase(T);
+            }
+            settleIdle();
+
+            // All idle: only an event can create work, so clock edges
+            // up to the next event carry none and time jumps there
+            // without registering anyone's wake. skipTicks() is a
+            // no-op on an idle component (a registration-time
+            // contract), so settling the account later at the next
+            // fire charges exactly nothing. Otherwise the earliest
+            // registered wake also bounds the jump, and so does end
+            // before the dead-stop test: a busy system waiting on
+            // nothing still runs to end, where finalizeAll() settles
+            // its accounting.
+            Tick target = events_.nextEventTick();
+            if (busyCount_ != 0)
+                target = std::min({target, end, nextWake(T)});
+            if (target == MaxTick) {
+                // No pending event and every component idle or waiting
+                // on one: nothing can ever happen again.
+                finalizeAll(T + 1);
+                flushed = true;
+                if (end != MaxTick)
+                    now_ = end;
+                break;
+            }
+            if (target > end)
+                target = end;
+            now_ = std::max(T + 1, target);
+        }
+        if (!flushed)
+            finalizeAll(now_);
+        pokeArmed_ = false; // Between-run pokes are no-ops.
+        return now_ - start;
     }
 
   private:
@@ -371,17 +383,16 @@ class Simulation
         void (*skip)(void *, Tick n);
         Tick period;
         /**
-         * First clock edge not yet ticked or skip-accounted. The
-         * legacy kernel advances it eagerly; the event-driven kernel
-         * lets it lag behind now_ (a lazy tail of provable no-op
-         * edges) and settles the account when the entry next fires.
+         * First clock edge not yet ticked or skip-accounted. It may
+         * lag behind now_ (a lazy tail of provable no-op edges); the
+         * account is settled when the entry next fires or is poked.
          */
         Tick next;
         /** Calendar position while queued (see heap_). */
         Tick wakeEdge;
         /** A heap node with t == wakeEdge is live for this entry. */
         bool queued;
-        /** Cached idle(); maintained at fires/pokes (busyCount_). */
+        /** Cached idle(); re-read at fires and pokes (busyCount_). */
         bool idleFlag;
     };
 
@@ -467,6 +478,29 @@ class Simulation
         heap_.pop_back();
     }
 
+    /**
+     * Earliest registered wake after tick @p T. Wheel slots hold edges
+     * in (T, T + WheelSize], so rotating the occupancy mask to put
+     * slot T+1 at bit 0 turns "first nonempty slot" into one
+     * count-trailing-zeros. The heap can still hold an earlier edge
+     * (inserted far, reached near), so it is consulted unless the
+     * wheel already answers with the unbeatable T+1.
+     */
+    Tick
+    nextWake(Tick T)
+    {
+        Tick wake = MaxTick;
+        if (wheelSummary_ != 0) {
+            wake = T + 1 +
+                   std::countr_zero(std::rotr(
+                       wheelSummary_,
+                       static_cast<int>((T + 1) & WheelMask)));
+        }
+        if (wake > T + 1)
+            wake = std::min(wake, heapMinEdge());
+        return wake;
+    }
+
     /** Earliest live calendar entry; discards stale nodes. */
     Tick
     heapMinEdge()
@@ -538,9 +572,9 @@ class Simulation
 
     /**
      * Fire every component due at tick @p T in registration order.
-     * Pokes during the walk may mark entries ahead of the cursor due
-     * or dirty; they are picked up in the same pass (bits behind the
-     * cursor are never set — those pokes defer to latePoked_).
+     * Pokes during the walk may mark entries ahead of the cursor due;
+     * they fire in the same pass (bits behind the cursor are never
+     * set: a passed entry's next edge is T + period at the earliest).
      */
     void
     firePhase(Tick T)
@@ -601,69 +635,50 @@ class Simulation
             }
         }
         for (std::size_t w = 0; w < dueBits_.size(); ++w) {
-            // Both words re-read every iteration: a fired entry's
-            // tick() may poke entries ahead of the cursor due or
-            // dirty, and those must be handled this same pass, in
-            // handle order, exactly where the legacy loop would have
-            // reached them.
-            while (true) {
-                const std::uint64_t due = dueBits_[w];
-                const std::uint64_t dirty = dirtyBits_[w];
-                const std::uint64_t m = due | dirty;
-                if (m == 0)
-                    break;
-                const std::uint64_t bit = m & (~m + 1);
-                const auto h = static_cast<ClockedHandle>(
-                    (w << 6) + std::countr_zero(bit));
-                if ((due & bit) != 0) {
-                    dueBits_[w] = due ^ bit;
-                    dirtyBits_[w] = dirty & ~bit;
-                    fireEntry(h, T);
-                } else {
-                    dirtyBits_[w] = dirty ^ bit;
-                    updateIdleFlag(h);
-                }
+            // The word is re-read every iteration: a fired entry's
+            // tick() may poke entries ahead of the cursor due, and
+            // those fire this same pass, in handle order.
+            while (const std::uint64_t due = dueBits_[w]) {
+                const int b = std::countr_zero(due);
+                dueBits_[w] = due & (due - 1);
+                fireEntry(static_cast<ClockedHandle>((w << 6) + b), T);
             }
         }
     }
 
     /**
-     * Replicate the legacy loop's first iteration of a run() call:
-     * tick every entry whose pending edge is at or behind now_ (edges
-     * stranded by a dead stop catch up with no accounting, exactly as
-     * the poll loop drops them), refresh every idle flag in position
-     * order, then rebuild the wake calendar from fresh nextWorkTick()
-     * answers. Also absorbs any between-run external mutations, which
-     * is why pokes outside run() can be ignored entirely.
+     * The first tick of a run() call: tick every entry whose pending
+     * edge is at or behind now_ (edges stranded by an all-idle dead
+     * stop catch up with no accounting, which is all skipTicks()
+     * charges an idle component), then read every idle flag and
+     * rebuild the wake calendar from fresh nextWorkTick() answers.
+     * Pokes are disarmed throughout: reading every entry after the
+     * walk absorbs both the walk's mutations and any between-run
+     * ones, which is why pokes outside run() can be ignored entirely.
      */
     void
     resumeVisit(Tick T)
     {
         heap_.clear();
         std::fill(dueBits_.begin(), dueBits_.end(), 0);
-        std::fill(dirtyBits_.begin(), dirtyBits_.end(), 0);
+        std::fill(idleOwed_.begin(), idleOwed_.end(), 0);
         for (auto &slot : wheel_)
             std::fill(slot.begin(), slot.end(), 0);
         wheelSummary_ = 0;
         wheelPos_ = T;
-        std::fill(latePoked_.begin(), latePoked_.end(), 0);
-        busyCount_ = 0;
-        resumeWalk_ = true;
-        for (ClockedHandle h = 0; h < clocked_.size(); ++h) {
-            Entry &e = clocked_[h];
+        for (auto &e : clocked_) {
             if (e.next <= T) {
                 e.next = T + e.period;
-                firingIdx_ = static_cast<std::int64_t>(h);
                 e.tick(e.obj);
-                firingIdx_ = -1;
             }
+        }
+        busyCount_ = 0;
+        for (ClockedHandle h = 0; h < clocked_.size(); ++h) {
+            Entry &e = clocked_[h];
             e.idleFlag = e.idle(e.obj);
             if (!e.idleFlag)
                 ++busyCount_;
-        }
-        resumeWalk_ = false;
-        for (ClockedHandle h = 0; h < clocked_.size(); ++h) {
-            clocked_[h].queued = false;
+            e.queued = false;
             requeueEntry(h);
         }
     }
@@ -685,14 +700,15 @@ class Simulation
         }
     }
 
+    /** Pay every idle() re-read owed by this tick's pokes. */
     void
-    processLatePoked()
+    settleIdle()
     {
-        for (std::size_t w = 0; w < latePoked_.size(); ++w) {
-            std::uint64_t m = latePoked_[w];
+        for (std::size_t w = 0; w < idleOwed_.size(); ++w) {
+            std::uint64_t m = idleOwed_[w];
             if (m == 0)
                 continue;
-            latePoked_[w] = 0;
+            idleOwed_[w] = 0;
             while (m != 0) {
                 const auto h = static_cast<ClockedHandle>(
                     (w << 6) + std::countr_zero(m));
@@ -700,207 +716,6 @@ class Simulation
                 updateIdleFlag(h);
             }
         }
-    }
-
-    /** The event-driven wake-queue kernel. */
-    Tick
-    runEvent(Tick max_ticks)
-    {
-        stopRequested_ = false;
-        const Tick start = now_;
-        const Tick end =
-            (max_ticks == MaxTick) ? MaxTick : now_ + max_ticks;
-        rebuildPending_ = true;
-        bool flushed = false;
-
-        while (!stopRequested_ && now_ < end) {
-            events_.advanceTo(now_);
-
-            const Tick T = now_;
-            if (rebuildPending_) {
-                resumeVisit(T);
-                rebuildPending_ = false;
-                pokeArmed_ = kernel_ == KernelMode::EventDriven;
-            } else {
-                firePhase(T);
-            }
-
-            Tick next_tick = T + 1;
-            if (busyCount_ == 0) {
-                // All idle: only an event can create work, so clock
-                // edges up to the next event carry none. The legacy
-                // loop re-aligns without accounting; skipTicks() is a
-                // no-op on an idle component (a registration-time
-                // contract), so settling the account later at the
-                // next fire charges exactly the same nothing.
-                Tick target = events_.nextEventTick();
-                if (target == MaxTick) {
-                    // Nothing can ever happen again.
-                    finalizeAll(T + 1);
-                    flushed = true;
-                    std::fill(latePoked_.begin(), latePoked_.end(), 0);
-                    if (end != MaxTick)
-                        now_ = end;
-                    break;
-                }
-                if (target > end)
-                    target = end;
-                if (target > next_tick)
-                    next_tick = target;
-            } else {
-                Tick target = events_.nextEventTick();
-                if (target > end)
-                    target = end;
-                // Earliest registered wake. Wheel slots hold edges in
-                // (T, T + WheelSize], so rotating the occupancy mask
-                // to put slot T+1 at bit 0 turns "first nonempty
-                // slot" into one count-trailing-zeros. The heap can
-                // still hold an earlier edge (inserted far, reached
-                // near), so it is consulted unless the wheel already
-                // answers with the unbeatable T+1.
-                Tick wake = MaxTick;
-                if (wheelSummary_ != 0) {
-                    wake = T + 1 +
-                           std::countr_zero(std::rotr(
-                               wheelSummary_,
-                               static_cast<int>((T + 1) & WheelMask)));
-                }
-                if (wake > T + 1) {
-                    const Tick hm = heapMinEdge();
-                    if (hm < wake)
-                        wake = hm;
-                }
-                if (wake < target)
-                    target = wake;
-                if (target == MaxTick) {
-                    // No pending event and every component waiting on
-                    // one: mirrors the all-idle dead stop above.
-                    finalizeAll(T + 1);
-                    flushed = true;
-                    std::fill(latePoked_.begin(), latePoked_.end(), 0);
-                    if (end != MaxTick)
-                        now_ = end;
-                    break;
-                }
-                if (target > next_tick)
-                    next_tick = target;
-            }
-            // Idle reads the legacy loop would only see next tick.
-            processLatePoked();
-            now_ = next_tick;
-        }
-        if (!flushed)
-            finalizeAll(now_);
-        rebuildPending_ = true; // Between-run pokes are no-ops.
-        pokeArmed_ = false;
-        return now_ - start;
-    }
-
-    /** The historical global-tick polling kernel (reference). */
-    Tick
-    runLegacy(Tick max_ticks)
-    {
-        stopRequested_ = false;
-        const Tick start = now_;
-        const Tick end =
-            (max_ticks == MaxTick) ? MaxTick : now_ + max_ticks;
-
-        while (!stopRequested_ && now_ < end) {
-            events_.advanceTo(now_);
-
-            bool all_idle = true;
-            for (auto &entry : clocked_) {
-                // '<=' (not '==') so edges stranded behind now_ by an
-                // idle fast-forward in a previous run() catch up.
-                if (entry.next <= now_) {
-                    entry.tick(entry.obj);
-                    entry.next = now_ + entry.period;
-                }
-                all_idle = all_idle && entry.idle(entry.obj);
-            }
-
-            Tick next_tick = now_ + 1;
-            if (all_idle) {
-                // Fast-forward to the next event; clock edges carry no
-                // work while every component is idle, but re-align each
-                // component's next edge so phases stay consistent.
-                Tick target = events_.nextEventTick();
-                if (target == MaxTick) {
-                    // Nothing can ever happen again.
-                    if (end != MaxTick)
-                        now_ = end;
-                    break;
-                }
-                if (target > end)
-                    target = end;
-                if (target > next_tick) {
-                    for (auto &entry : clocked_) {
-                        // Arithmetic re-alignment to the first edge at
-                        // or after target (the equivalent loop was
-                        // O(span/period) across long idle stretches).
-                        if (entry.next < target) {
-                            const Tick behind = target - entry.next;
-                            entry.next +=
-                                (behind + entry.period - 1) /
-                                entry.period * entry.period;
-                        }
-                    }
-                    next_tick = target;
-                }
-            } else {
-                // Skip-ahead: when every component either has nothing
-                // to do before a known future tick (cores stalled on
-                // an outstanding miss, DRAM waiting out a timing gate)
-                // or waits on an event callback, jump straight to the
-                // earliest of those wakeups and the next event. Edges
-                // elided this way are batch-accounted via skipTicks(),
-                // so statistics stay bit-identical to ticking through.
-                Tick target = events_.nextEventTick();
-                if (target > end)
-                    target = end;
-                for (const auto &entry : clocked_) {
-                    if (target <= next_tick)
-                        break; // Cannot beat the normal path.
-                    const Tick w =
-                        entry.nextWork ? entry.nextWork(entry.obj)
-                                       : Tick(0);
-                    if (w == MaxTick)
-                        continue; // Woken by an event, not a clock.
-                    // First clock edge at or after w (entry.next is
-                    // this entry's earliest unticked edge, > now_).
-                    Tick c = entry.next;
-                    if (w > c) {
-                        c += (w - c + entry.period - 1) /
-                             entry.period * entry.period;
-                    }
-                    if (c < target)
-                        target = c;
-                }
-                if (target == MaxTick) {
-                    // No pending event and every component waiting on
-                    // one: nothing can ever happen again (mirrors the
-                    // all-idle dead stop above).
-                    if (end != MaxTick)
-                        now_ = end;
-                    break;
-                }
-                if (target > next_tick) {
-                    for (auto &entry : clocked_) {
-                        if (entry.next >= target)
-                            continue;
-                        const Tick n =
-                            (target - 1 - entry.next) / entry.period +
-                            1;
-                        if (entry.skip)
-                            entry.skip(entry.obj, n);
-                        entry.next += n * entry.period;
-                    }
-                    next_tick = target;
-                }
-            }
-            now_ = next_tick;
-        }
-        return now_ - start;
     }
 
     EventQueue events_;
@@ -913,8 +728,7 @@ class Simulation
     std::uint32_t tracePid_ = 0;
     harden::Context *harden_ = nullptr;
 
-    // Event-driven kernel state ----------------------------------------
-    KernelMode kernel_ = KernelMode::EventDriven;
+    // Wake-queue kernel state -------------------------------------------
     /**
      * Near-wake timing wheel: slot (t & WheelMask) holds a bitset of
      * entries registered to wake at tick t, for t within WheelSize
@@ -931,15 +745,16 @@ class Simulation
     std::uint64_t wheelSummary_ = 0; ///< Slot-occupancy bitmask.
     Tick wheelPos_ = 0; ///< Last tick whose slot was promoted.
     std::vector<HeapNode> heap_; ///< Wake calendar (min-heap by tick).
-    std::vector<std::uint64_t> dueBits_;   ///< Fires this tick.
-    std::vector<std::uint64_t> dirtyBits_; ///< Idle re-read this tick.
-    std::vector<std::uint64_t> latePoked_; ///< Re-read after decision.
+    std::vector<std::uint64_t> dueBits_;  ///< Fires this tick.
+    /** Poked this tick; idle() re-read before the fast-forward test. */
+    std::vector<std::uint64_t> idleOwed_;
     std::uint32_t busyCount_ = 0; ///< Entries with idleFlag == false.
     std::int64_t firingIdx_ = -1; ///< Fire cursor; -1 outside a tick().
-    bool resumeWalk_ = false;     ///< Inside resumeVisit()'s tick walk.
-    bool rebuildPending_ = true;  ///< Calendar invalid; rebuild on run.
-    /** Cached kernel_ == EventDriven && !rebuildPending_: the poke
-     *  hot path's single-load guard. */
+    /**
+     * The wake calendar is live: set by run()'s first tick, cleared
+     * when run() returns. Outside it pokes are no-ops, and the next
+     * run() rebuilds the calendar from scratch.
+     */
     bool pokeArmed_ = false;
 };
 

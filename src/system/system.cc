@@ -21,9 +21,6 @@ System::System(const SystemConfig &config) : config_(config)
         SchemeRegistry::instance().entryFor(config_.scheme);
     sim_ = std::make_unique<Simulation>();
     Simulation &sim = *sim_;
-    sim.setKernelMode(config_.legacyKernel
-                          ? Simulation::KernelMode::LegacyPolling
-                          : Simulation::KernelMode::EventDriven);
 
     // Hardening: parse the fault spec and attach the context before
     // any component is built, since components latch hardened-feature

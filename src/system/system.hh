@@ -101,13 +101,6 @@ struct SystemConfig
     std::uint64_t warmupInstructionsPerCore = 200'000;
     std::uint64_t seed = 12345;
     double cpuGhz = 3.2;
-    /**
-     * Drive the clocked components with the legacy global-tick polling
-     * loop instead of the event-driven wake-queue kernel. The two are
-     * byte-identical in output; the poll loop is kept as the reference
-     * for equivalence testing (`--legacy-kernel`).
-     */
-    bool legacyKernel = false;
 
     CoreParams core;
     TlbParams tlb{64, 192, 8, 8};

@@ -1,10 +1,11 @@
 /**
  * @file
- * Unit tests for the event-driven wake-queue kernel: same-tick firing
- * order, reschedule-while-pending coalescing, cancellation, timing
- * wheel wrap across far strides, registration growth churn, and a
- * randomized legacy-vs-event equivalence check that diffs the stats
- * JSON of twin runs.
+ * Unit tests for the wake-queue kernel: same-tick firing order,
+ * reschedule-while-pending coalescing, cancellation, timing wheel wrap
+ * across far strides, registration growth churn, work handed to an
+ * earlier-registered component, and a randomized check that diffs the
+ * stats JSON of twin runs against a dense reference that ticks every
+ * component on every clock edge.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,32 @@ namespace nomad
 {
 namespace
 {
+
+/**
+ * Dense reference drive: exposes only the wrapped component's tick()
+ * and idle(), hiding nextWorkTick()/skipTicks(), so the kernel ticks
+ * it on every clock edge. Under the addClocked() contract (every edge
+ * before the next work is a no-op whose accounting equals
+ * skipTicks(1)) a wake-scheduled twin must end in the same state.
+ */
+template <typename T>
+class Dense
+{
+  public:
+    explicit Dense(T *c) : c_(c) {}
+    void tick() { c_->tick(); }
+    bool idle() const { return c_->idle(); }
+
+  private:
+    T *c_;
+};
+
+/** How a test registers its components with the kernel. */
+enum class Drive
+{
+    WakeQueue, ///< The component itself: nextWorkTick()/skipTicks().
+    EveryEdge  ///< Through Dense: ticked on every clock edge.
+};
 
 /** Fires every cycle; records its id in a shared firing log. */
 class OrderProbe
@@ -154,8 +181,8 @@ class Strider
 
     // Never idle: there is always a future stride scheduled, and
     // idle() must be a pure function of component state (the idle
-    // fast-forward in both kernels jumps straight to the next event,
-    // past any pending wake).
+    // fast-forward jumps straight to the next event, past any pending
+    // wake).
     bool idle() const { return false; }
     Tick nextWorkTick() const { return next_; }
 
@@ -168,19 +195,20 @@ class Strider
 
 TEST(WakeQueue, WheelWrapAndFarStrides)
 {
-    auto runOnce = [](Simulation::KernelMode mode) {
+    auto runOnce = [](Drive drive) {
         Simulation sim;
-        sim.setKernelMode(mode);
         Strider s(sim);
-        sim.addClocked(&s, 1);
+        Dense<Strider> dense(&s);
+        if (drive == Drive::WakeQueue)
+            sim.addClocked(&s, 1);
+        else
+            sim.addClocked(&dense, 1);
         sim.run(5000);
         return s.fires;
     };
-    const std::vector<Tick> event =
-        runOnce(Simulation::KernelMode::EventDriven);
-    const std::vector<Tick> legacy =
-        runOnce(Simulation::KernelMode::LegacyPolling);
-    EXPECT_EQ(event, legacy);
+    const std::vector<Tick> event = runOnce(Drive::WakeQueue);
+    const std::vector<Tick> dense = runOnce(Drive::EveryEdge);
+    EXPECT_EQ(event, dense);
 
     // Cross-check the head of the sequence against the stride table.
     static constexpr Tick strides[] = {1,   63, 64,  65, 127,
@@ -195,8 +223,8 @@ TEST(WakeQueue, WheelWrapAndFarStrides)
 
 /**
  * Busy-burst/sleep pattern driven by a private deterministic RNG.
- * The RNG is consumed only inside real work edges, which both
- * kernels deliver at identical ticks, so twin runs stay in lockstep.
+ * The RNG is consumed only inside real work edges, which both drives
+ * deliver at identical ticks, so twin runs stay in lockstep.
  * Work and elided-edge counts are published as statistics so twin
  * runs can be diffed as stats JSON.
  */
@@ -214,9 +242,13 @@ class PatternClocked
     }
 
     void
-    attach()
+    attach(Drive drive)
     {
-        handle_ = sim_.addClocked(this, period_);
+        // Under the dense drive, wake()'s pokes reach the adapter's
+        // entry, where they are spurious and harmless.
+        handle_ = drive == Drive::WakeQueue
+                      ? sim_.addClocked(this, period_)
+                      : sim_.addClocked(&dense_, period_);
     }
 
     void
@@ -242,8 +274,8 @@ class PatternClocked
     idle() const
     {
         // There is always a future burst scheduled, so the component
-        // is never idle in the kernel's sense (idle would let both
-        // kernels fast-forward past sleepUntil_ to the next event).
+        // is never idle in the kernel's sense (idle would let the
+        // kernel fast-forward past sleepUntil_ to the next event).
         return false;
     }
 
@@ -272,6 +304,7 @@ class PatternClocked
     Simulation &sim_;
     Rng rng_;
     Tick period_;
+    Dense<PatternClocked> dense_{this};
     Simulation::ClockedHandle handle_ =
         Simulation::InvalidClockedHandle;
     int busyLeft_ = 0;
@@ -288,18 +321,17 @@ struct TwinResult
 };
 
 TwinResult
-runPatternFleet(Simulation::KernelMode mode, std::uint64_t seed,
-                int components, Tick horizon)
+runPatternFleet(Drive drive, std::uint64_t seed, int components,
+                Tick horizon)
 {
     Simulation sim;
-    sim.setKernelMode(mode);
     Rng topo(seed);
     std::vector<std::unique_ptr<PatternClocked>> comps;
     for (int i = 0; i < components; ++i) {
         const Tick period = 1 + topo.nextRange(3);
         comps.push_back(std::make_unique<PatternClocked>(
             sim, seed * 1000 + i, period, i));
-        comps.back()->attach();
+        comps.back()->attach(drive);
     }
     // Random external wakes, including pokes to sleeping components.
     for (int i = 0; i < 50; ++i) {
@@ -323,13 +355,13 @@ runPatternFleet(Simulation::KernelMode mode, std::uint64_t seed,
     return r;
 }
 
-TEST(WakeQueue, RandomizedLegacyEventEquivalence)
+TEST(WakeQueue, RandomizedDenseReferenceEquivalence)
 {
     for (const std::uint64_t seed : {11ull, 22ull, 33ull}) {
-        const TwinResult ev = runPatternFleet(
-            Simulation::KernelMode::EventDriven, seed, 24, 6000);
-        const TwinResult lg = runPatternFleet(
-            Simulation::KernelMode::LegacyPolling, seed, 24, 6000);
+        const TwinResult ev =
+            runPatternFleet(Drive::WakeQueue, seed, 24, 6000);
+        const TwinResult lg =
+            runPatternFleet(Drive::EveryEdge, seed, 24, 6000);
         EXPECT_EQ(ev.work, lg.work) << "seed " << seed;
         EXPECT_EQ(ev.skipped, lg.skipped) << "seed " << seed;
         EXPECT_EQ(ev.hashes, lg.hashes) << "seed " << seed;
@@ -344,17 +376,111 @@ TEST(WakeQueue, RandomizedLegacyEventEquivalence)
 
 TEST(WakeQueue, GrowthChurnEquivalence)
 {
-    // 150 components need the due/dirty bitsets and every wheel slot
-    // to grow to three words; the twin comparison catches any bit
-    // lost during growth.
-    const TwinResult ev = runPatternFleet(
-        Simulation::KernelMode::EventDriven, 7, 150, 2500);
-    const TwinResult lg = runPatternFleet(
-        Simulation::KernelMode::LegacyPolling, 7, 150, 2500);
+    // 150 components need the due/idle-owed bitsets and every wheel
+    // slot to grow to three words; the twin comparison catches any
+    // bit lost during growth.
+    const TwinResult ev = runPatternFleet(Drive::WakeQueue, 7, 150, 2500);
+    const TwinResult lg = runPatternFleet(Drive::EveryEdge, 7, 150, 2500);
     EXPECT_EQ(ev.work, lg.work);
     EXPECT_EQ(ev.skipped, lg.skipped);
     EXPECT_EQ(ev.hashes, lg.hashes);
     EXPECT_EQ(ev.statsJson, lg.statsJson);
+}
+
+/** Sleeps until handed work; one unit per tick. */
+class Receiver
+{
+  public:
+    explicit Receiver(Simulation &sim) : sim_(sim) {}
+
+    void
+    attach()
+    {
+        handle_ = sim_.addClocked(this, 1);
+    }
+
+    void
+    tick()
+    {
+        if (pending_ > 0) {
+            --pending_;
+            ++done;
+        }
+    }
+
+    bool idle() const { return pending_ == 0; }
+    Tick nextWorkTick() const { return pending_ > 0 ? 0 : MaxTick; }
+
+    void
+    give(int units)
+    {
+        sim_.pokeClocked(handle_);
+        pending_ += units;
+    }
+
+    int done = 0;
+
+  private:
+    Simulation &sim_;
+    Simulation::ClockedHandle handle_ =
+        Simulation::InvalidClockedHandle;
+    int pending_ = 0;
+};
+
+/** One busy edge at a fixed tick: hands 3 units over, then idles. */
+class Handoff
+{
+  public:
+    Handoff(Simulation &sim, Receiver &to, Tick at)
+        : sim_(sim), to_(to), at_(at)
+    {}
+
+    void
+    tick()
+    {
+        if (handed_ || sim_.now() < at_)
+            return;
+        to_.give(3);
+        handed_ = true;
+    }
+
+    bool idle() const { return handed_; }
+    Tick nextWorkTick() const { return handed_ ? MaxTick : at_; }
+
+  private:
+    Simulation &sim_;
+    Receiver &to_;
+    Tick at_;
+    bool handed_ = false;
+};
+
+/**
+ * Work handed backwards in registration order, with no event ever
+ * scheduled: the receiver's idle flag was read before the handoff,
+ * so unless the poke forces a re-read before the all-idle test the
+ * kernel concludes nothing can ever happen again and stops.
+ */
+int
+backwardHandoffDone(Tick at)
+{
+    Simulation sim;
+    Receiver a(sim);
+    a.attach();
+    Handoff b(sim, a, at);
+    sim.addClocked(&b, 1);
+    sim.run(100);
+    return a.done;
+}
+
+TEST(WakeQueue, BackwardHandoffInFirePhaseCompletes)
+{
+    EXPECT_EQ(backwardHandoffDone(5), 3);
+}
+
+TEST(WakeQueue, BackwardHandoffOnFirstTickCompletes)
+{
+    // Tick 0 is run()'s resume visit, where pokes are disarmed.
+    EXPECT_EQ(backwardHandoffDone(0), 3);
 }
 
 } // namespace
