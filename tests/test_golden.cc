@@ -1,7 +1,8 @@
 /**
  * @file
  * Golden-output regression tests: the merged stats JSON of small
- * fig9, rmhb (all registered schemes) and tiering sweeps must stay
+ * fig9, rmhb (all registered schemes) and tiering sweeps, and of a
+ * fault-injected sweep of the copy-engine schemes, must stay
  * byte-identical to the files under tests/golden/.
  *
  * This is the guard rail for the raw-speed work (docs/PERFORMANCE.md):
@@ -23,6 +24,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "runner/suites.hh"
 #include "runner/sweep.hh"
@@ -43,13 +45,17 @@ goldenPath(const std::string &name)
 }
 
 /** Mirror of the nomad-sweep CLI defaults used to create the files:
- *  --suite <suite> --jobs 1 --instr <instr> --cores 2 --stats-json ... */
-std::string
-runSuite(const std::string &suite, std::uint64_t instr)
+ *  --suite <suite> [--scheme <s>] --jobs 1 --instr <instr> --cores 2
+ *  --stats-json ... plus the hardening flags in @p harden. */
+std::vector<SweepRunResult>
+runJobs(const std::string &suite, std::uint64_t instr,
+        std::vector<SchemeKind> schemes = {},
+        const HardenConfig &harden = {})
 {
     SuiteOptions suiteOpts;
     suiteOpts.instrPerCore = instr;
     suiteOpts.cores = 2;
+    suiteOpts.schemes = std::move(schemes);
     Sweep sweep;
     if (!buildSuite(suite, suiteOpts, sweep))
         return {};
@@ -59,11 +65,24 @@ runSuite(const std::string &suite, std::uint64_t instr)
     opts.baseSeed = 12345;
     opts.wantStatsJson = true;
     opts.samplePeriod = 5000;
-    const std::vector<SweepRunResult> results = sweep.run(opts);
+    opts.harden = harden;
+    return sweep.run(opts);
+}
 
+std::string
+mergedStats(const std::vector<SweepRunResult> &results)
+{
+    if (results.empty())
+        return {};
     std::ostringstream out;
     Sweep::writeMergedStats(out, results);
     return out.str();
+}
+
+std::string
+runSuite(const std::string &suite, std::uint64_t instr)
+{
+    return mergedStats(runJobs(suite, instr));
 }
 
 /** Byte-compare @p produced with tests/golden/<name>.json, or refresh
@@ -120,6 +139,33 @@ TEST(Golden, RmhbSmallStatsJsonIsByteIdentical)
 TEST(Golden, TieringSmallStatsJsonIsByteIdentical)
 {
     checkGolden("tiering_small", runSuite("tiering", 20000));
+}
+
+/**
+ * The recovery paths no clean run reaches: the CI smoke's fault spec,
+ * copy timeout and invariant checks on each copy-engine scheme, one
+ * filtered rmhb sweep per scheme as the CI step runs them. This pins
+ * the response fault filter and the copy-timeout abort-and-refetch of
+ * the PCSHRs (nomad, tdc) and the migration slots (tiering).
+ */
+TEST(Golden, HardenedSmallStatsJsonIsByteIdentical)
+{
+    HardenConfig harden;
+    harden.faultSpec = "seed=7:drop-dram=0.05:stuck-copy=0.01";
+    harden.copyTimeoutTicks = 30000;
+    harden.checkInvariants = true;
+    std::vector<SweepRunResult> all;
+    for (SchemeKind s :
+         {SchemeKind::Nomad, SchemeKind::Tdc, SchemeKind::Tiering}) {
+        std::vector<SweepRunResult> runs =
+            runJobs("rmhb", 3000, {s}, harden);
+        ASSERT_EQ(runs.size(), 4u) << schemeKindName(s);
+        for (SweepRunResult &r : runs) {
+            ASSERT_TRUE(r.ok()) << r.report.label << ": " << r.report.error;
+            all.push_back(std::move(r));
+        }
+    }
+    checkGolden("hardened_small", mergedStats(all));
 }
 
 } // namespace
