@@ -24,7 +24,7 @@ NomadBackEnd::NomadBackEnd(Simulation &sim, const std::string &name,
                            const NomadBackEndParams &params,
                            DramDevice &on_package,
                            DramDevice &off_package)
-    : SimObject(sim, name),
+    : CopyPump(sim, name, params.numPcshrs),
       fillCommands(name + ".fillCommands", "cache-fill commands"),
       writebackCommands(name + ".writebackCommands",
                         "writeback commands"),
@@ -58,8 +58,7 @@ NomadBackEnd::NomadBackEnd(Simulation &sim, const std::string &name,
         params_.numBuffers = params_.numPcshrs;
     freeBuffers_ = params_.numBuffers;
 
-    pcshrs_.resize(params.numPcshrs);
-    for (auto &p : pcshrs_)
+    for (auto &p : slots_)
         p.subEntries.resize(params.subEntriesPerPcshr);
     fillIndex_.reserve(params.numPcshrs);
 
@@ -79,10 +78,8 @@ NomadBackEnd::NomadBackEnd(Simulation &sim, const std::string &name,
 
     // The retry stat only exists on hardened runs so the default
     // stats-JSON stream stays byte-identical without a context.
-    if (const harden::Context *ctx = sim.harden()) {
-        injector_ = ctx->injector;
+    if (sim.harden())
         reg.add(&copyRetries);
-    }
 
     wakeIdx_ = sim.addClocked(this, 1);
     pump_.bind(sim, wakeIdx_);
@@ -93,36 +90,25 @@ NomadBackEnd::sendCacheFill(PageNum cfn, PageNum pfn,
                             std::uint32_t pri_sub_block,
                             AcceptCallback accepted, CompleteCallback done)
 {
-    sim_.pokeClocked(wakeIdx_);
-    WaitingCmd cmd;
-    cmd.isWriteback = false;
-    cmd.cfn = cfn;
-    cmd.pfn = pfn;
-    cmd.priIdx = pri_sub_block;
-    cmd.arrived = curTick();
-    cmd.accepted = std::move(accepted);
-    cmd.done = std::move(done);
-    submit(std::move(cmd));
+    submit(false, cfn, pfn, pri_sub_block, std::move(accepted),
+           std::move(done));
 }
 
 void
 NomadBackEnd::sendWriteback(PageNum cfn, PageNum pfn,
                             AcceptCallback accepted, CompleteCallback done)
 {
-    sim_.pokeClocked(wakeIdx_);
-    WaitingCmd cmd;
-    cmd.isWriteback = true;
-    cmd.cfn = cfn;
-    cmd.pfn = pfn;
-    cmd.arrived = curTick();
-    cmd.accepted = std::move(accepted);
-    cmd.done = std::move(done);
-    submit(std::move(cmd));
+    submit(true, cfn, pfn, 0, std::move(accepted), std::move(done));
 }
 
 void
-NomadBackEnd::submit(WaitingCmd cmd)
+NomadBackEnd::submit(bool is_writeback, PageNum cfn, PageNum pfn,
+                     std::uint32_t pri_idx, AcceptCallback accepted,
+                     CompleteCallback done)
 {
+    sim_.pokeClocked(wakeIdx_);
+    WaitingCmd cmd{is_writeback, cfn, pfn, pri_idx, curTick(),
+                   /*traceId=*/0, std::move(accepted), std::move(done)};
     pump_.touch();
     // Lifecycle span: opens when the command reaches the interface
     // register, closes when the page copy retires (releasePcshr).
@@ -158,25 +144,16 @@ NomadBackEnd::submit(WaitingCmd cmd)
 void
 NomadBackEnd::allocate(WaitingCmd cmd, int slot)
 {
-    pump_.touch();
     const Tick now = curTick();
-    Pcshr &p = pcshrs_[slot];
-    panic_if(p.valid, "allocating a busy PCSHR");
-
-    p.valid = true;
+    Pcshr &p = slots_[slot];
+    claimSlot(p, cmd.pfn, cmd.cfn);
     p.isWriteback = cmd.isWriteback;
-    p.pfn = cmd.pfn;
-    p.cfn = cmd.cfn;
     p.pri = !cmd.isWriteback && params_.criticalDataFirst;
     p.priIdx = cmd.priIdx % SubBlocksPerPage;
-    p.arm(now);
-    p.acceptedAt = now;
-    p.stuck = injector_ != nullptr && injector_->makeStuck();
     p.traceId = cmd.traceId;
     p.onDone = std::move(cmd.done);
     for (auto &se : p.subEntries)
         se = SubEntry{};
-    ++activePcshrs_;
     if (!p.isWriteback)
         fillIndex_.insert(p.cfn, slot);
 
@@ -209,20 +186,14 @@ NomadBackEnd::allocate(WaitingCmd cmd, int slot)
 void
 NomadBackEnd::assignBuffer(int slot)
 {
-    Pcshr &p = pcshrs_[slot];
+    Pcshr &p = slots_[slot];
     p.bufferId = 0; // Identity is irrelevant; presence gates transfers.
     p.lastProgress = curTick();
     // Serve write sub-entries that were waiting for buffer space
     // (area-optimized configurations only).
     for (auto &se : p.subEntries) {
         if (se.valid && se.isWrite) {
-            setBit(p.bVec, se.subIdx);
-            setBit(p.localVec, se.subIdx);
-            if (!bit(p.rVec, se.subIdx)) {
-                setBit(p.rVec, se.subIdx);
-                ++readsSkipped;
-            }
-            ++bufferWrites;
+            absorbWrite(p, se.subIdx);
             se.req->complete(curTick());
             se = SubEntry{};
         }
@@ -242,13 +213,22 @@ NomadBackEnd::assignBuffer(int slot)
     accessWaiters_.wakeAll();
 }
 
-int
-NomadBackEnd::pickNextRead(const Pcshr &p) const
+void
+NomadBackEnd::absorbWrite(Pcshr &p, std::uint32_t idx)
 {
-    if (p.bufferId < 0)
-        return -1;
-    if (p.rVec == AllSubBlocks)
-        return -1;
+    setBit(p.bVec, idx);
+    setBit(p.localVec, idx);
+    if (!bit(p.rVec, idx)) {
+        // The R vector suppresses the now-redundant source read.
+        setBit(p.rVec, idx);
+        ++readsSkipped;
+    }
+    ++bufferWrites;
+}
+
+int
+NomadBackEnd::nextRead(const Pcshr &p) const
+{
     // 1. The prioritized (critical-data-first) sub-block.
     if (p.pri && !bit(p.rVec, p.priIdx))
         return static_cast<int>(p.priIdx);
@@ -270,98 +250,26 @@ NomadBackEnd::pickNextRead(const Pcshr &p) const
 }
 
 void
-NomadBackEnd::issueReads(int slot)
-{
-    Pcshr &p = pcshrs_[slot];
-    DramDevice &source = p.isWriteback ? onPackage_ : offPackage_;
-    const MemSpace space = p.isWriteback ? MemSpace::OnPackage
-                                         : MemSpace::OffPackage;
-    const PageNum page = p.isWriteback ? p.cfn : p.pfn;
-    const Category cat =
-        p.isWriteback ? Category::Writeback : Category::Fill;
-
-    while (p.readsInFlight < params_.maxReadsInFlight) {
-        const int idx = pickNextRead(p);
-        if (idx < 0)
-            return;
-        const Addr addr = (static_cast<Addr>(page) << PageShift) +
-                          static_cast<Addr>(idx) * BlockBytes;
-        const std::uint64_t gen = p.generation;
-        auto req = makeRequest(
-            addr, false, cat, space, curTick(),
-            [this, slot, gen, idx](Tick when) {
-                onReadArrive(slot, gen,
-                             static_cast<std::uint32_t>(idx), when);
-            });
-        if (!source.tryAccess(req, pump_.waiter()))
-            return; // Parked until the source channel frees a slot.
-        setBit(p.rVec, static_cast<std::uint32_t>(idx));
-        ++p.readsInFlight;
-        pump_.progress();
-    }
-}
-
-void
 NomadBackEnd::onReadArrive(int slot, std::uint64_t gen, std::uint32_t idx,
                            Tick when)
 {
-    // Fault filter: current-generation responses may be swallowed
-    // (stuck copy), dropped, or delayed before the model sees them.
-    // Lost responses keep readsInFlight held — the data is gone, not
-    // late — so recovery is the copy timeout's abort-and-refetch.
-    if (injector_) {
-        const Pcshr &p = pcshrs_[slot];
-        if (p.valid && p.generation == gen) {
-            if (p.stuck)
-                return;
-            Tick extra = 0;
-            switch (injector_->onDramResponse(extra)) {
-              case harden::FaultInjector::Response::Drop:
-                return;
-              case harden::FaultInjector::Response::Delay:
-                schedule(extra, [this, slot, gen, idx]() {
-                    deliverRead(slot, gen, idx, curTick());
-                });
-                return;
-              case harden::FaultInjector::Response::Deliver:
-                break;
-            }
-        }
-    }
-    deliverRead(slot, gen, idx, when);
+    arrive(slot, gen, idx, when);
 }
 
-void
-NomadBackEnd::deliverRead(int slot, std::uint64_t gen, std::uint32_t idx,
-                          Tick when)
+bool
+NomadBackEnd::admitArrival(Pcshr &p, std::uint32_t idx)
 {
-    sim_.pokeClocked(wakeIdx_);
-    // An arrival frees a read-in-flight slot (and may unblock parked
-    // sub-entries), so the pump owes this slot a pass.
-    pump_.touch();
-    Pcshr &p = pcshrs_[slot];
-    if (!p.valid || p.generation != gen) {
-        // The command completed through local writes and the slot was
-        // recycled (or the copy was aborted and re-issued); the late
-        // arrival carries no usable data.
-        ++staleReadsDropped;
-        return;
-    }
-    panic_if(p.readsInFlight == 0, "read arrival without issue");
-    --p.readsInFlight;
     if (bit(p.bVec, idx)) {
         // A DC write already deposited newer data for this sub-block.
         ++staleReadsDropped;
-        return;
+        return false;
     }
-    NOMAD_CHECK(*this, bit(p.rVec, idx),
-                "sub-block ", idx, " arrived without a read issued");
-    setBit(p.bVec, idx);
-    p.lastProgress = when;
-    NOMAD_CHECK(*this, (p.bVec & ~p.rVec) == 0,
-                "B vector not a subset of R after arrival of sub-block ",
-                idx);
+    return true;
+}
 
+void
+NomadBackEnd::onArrival(Pcshr &p, std::uint32_t idx, Tick when)
+{
     trace::TraceSink *sink = p.traceId ? tracer() : nullptr;
     if (sink && p.pri && idx == p.priIdx) {
         // The critical-data-first sub-block landed in the buffer.
@@ -369,13 +277,10 @@ NomadBackEnd::deliverRead(int slot, std::uint64_t gen, std::uint32_t idx,
                            trace::Cat::Copy, p.traceId, when,
                            {{"sub_block", static_cast<double>(idx)}});
     }
-
     servePendingReads(p, idx, when);
     // The new B bit turns a refused read of this sub-block into a
     // buffer hit, and served sub-entries free slots.
     accessWaiters_.wakeAll();
-    drainWrites(slot);
-    maybeComplete(slot);
 }
 
 void
@@ -398,42 +303,9 @@ NomadBackEnd::servePendingReads(Pcshr &p, std::uint32_t idx, Tick when)
 }
 
 void
-NomadBackEnd::drainWrites(int slot)
+NomadBackEnd::completeCopy(int slot)
 {
-    Pcshr &p = pcshrs_[slot];
-    if (!p.valid)
-        return;
-    DramDevice &dest = p.isWriteback ? offPackage_ : onPackage_;
-    const MemSpace space = p.isWriteback ? MemSpace::OffPackage
-                                         : MemSpace::OnPackage;
-    const PageNum page = p.isWriteback ? p.pfn : p.cfn;
-    const Category cat =
-        p.isWriteback ? Category::Writeback : Category::Fill;
-
-    NOMAD_CHECK(*this, (p.wVec & ~p.bVec) == 0,
-                "W vector not a subset of B for cfn ", p.cfn);
-    std::uint64_t ready = p.bVec & ~p.wVec;
-    while (ready != 0) {
-        const auto idx =
-            static_cast<std::uint32_t>(__builtin_ctzll(ready));
-        const Addr addr = (static_cast<Addr>(page) << PageShift) +
-                          static_cast<Addr>(idx) * BlockBytes;
-        auto req = makeRequest(addr, true, cat, space, curTick());
-        if (!dest.tryAccess(req, pump_.waiter()))
-            return; // Parked until the destination frees a slot.
-        setBit(p.wVec, idx);
-        p.lastProgress = curTick();
-        pump_.progress();
-        ready &= ready - 1;
-    }
-}
-
-void
-NomadBackEnd::maybeComplete(int slot)
-{
-    Pcshr &p = pcshrs_[slot];
-    if (!p.valid || !p.copyComplete())
-        return;
+    Pcshr &p = slots_[slot];
     for (const auto &se : p.subEntries) {
         NOMAD_CHECK(*this, !se.valid,
                     "sub-entry for sub-block ", se.subIdx,
@@ -450,7 +322,7 @@ NomadBackEnd::tracePcshrCounter()
 {
     if (auto *sink = tracer()) {
         sink->counter(tracePid(), pcshrCounterName_.c_str(), curTick(),
-                      {{"active", static_cast<double>(activePcshrs_)},
+                      {{"active", static_cast<double>(active_)},
                        {"queued",
                         static_cast<double>(waitQ_.size())}});
     }
@@ -459,21 +331,16 @@ NomadBackEnd::tracePcshrCounter()
 void
 NomadBackEnd::releasePcshr(int slot)
 {
-    pump_.progress();
-    pump_.touch();
-    Pcshr &p = pcshrs_[slot];
+    Pcshr &p = slots_[slot];
     if (auto *sink = p.traceId ? tracer() : nullptr) {
         sink->asyncEnd(tracePid(), copySpanName(p.isWriteback),
                        trace::Cat::Copy, p.traceId, curTick(),
                        {{"latency", static_cast<double>(
                                         curTick() - p.acceptedAt)}});
     }
-    p.traceId = 0;
-    p.valid = false;
+    freeSlot(p);
     if (!p.isWriteback)
         fillIndex_.erase(p.cfn);
-    p.retire();
-    --activePcshrs_;
     tracePcshrCounter();
     // No PCSHR matches the page any more: a refused access data-hits.
     accessWaiters_.wakeAll();
@@ -510,18 +377,14 @@ NomadBackEnd::access(const MemRequestPtr &req, PortWaiter *waiter)
 
     // CAM compare of the access CFN against the PCSHR tags (Fig 6),
     // modelled as an open-addressed cfn -> slot table.
-    Pcshr *match = nullptr;
-    int match_slot = -1;
-    if (const int *slot = fillIndex_.find(cfn)) {
-        match_slot = *slot;
-        match = &pcshrs_[match_slot];
-    }
+    const int *match = fillIndex_.find(cfn);
     if (!match) {
         // The caller forwards to on-package DRAM and records the data
         // hit once the device accepts (avoids double counting retries).
         return AccessResult::DataHit;
     }
-    Pcshr &p = *match;
+    const int match_slot = *match;
+    Pcshr &p = slots_[match_slot];
     // Every matched path below may mutate PCSHR state (vectors,
     // sub-entries) in ways that give the pump new work.
     pump_.touch();
@@ -529,36 +392,10 @@ NomadBackEnd::access(const MemRequestPtr &req, PortWaiter *waiter)
     if (req->isWrite) {
         if (p.bufferId < 0) {
             // No buffer yet (area-optimized); park the write.
-            for (auto &se : p.subEntries) {
-                if (!se.valid) {
-                    se.valid = true;
-                    se.isWrite = true;
-                    se.subIdx = idx;
-                    se.req = req;
-                    ++dataMisses;
-                    if (auto *sink = p.traceId ? tracer() : nullptr) {
-                        sink->asyncInstant(
-                            tracePid(), "subentry_parked",
-                            trace::Cat::Copy, p.traceId, curTick(),
-                            {{"sub_block", static_cast<double>(idx)},
-                             {"write", 1}});
-                    }
-                    return AccessResult::Pending;
-                }
-            }
-            ++subEntryRejects;
-            accessWaiters_.park(waiter);
-            return AccessResult::Reject;
+            return parkAccess(p, req, idx, waiter);
         }
         ++dataMisses;
-        setBit(p.bVec, idx);
-        setBit(p.localVec, idx);
-        if (!bit(p.rVec, idx)) {
-            // The R vector suppresses the now-redundant source read.
-            setBit(p.rVec, idx);
-            ++readsSkipped;
-        }
-        ++bufferWrites;
+        absorbWrite(p, idx);
         req->complete(curTick());
         // A read already parked on this sub-block must be served from
         // the newly deposited data now: the source-read arrival that
@@ -582,22 +419,25 @@ NomadBackEnd::access(const MemRequestPtr &req, PortWaiter *waiter)
         return AccessResult::Serviced;
     }
 
+    return parkAccess(p, req, idx, waiter);
+}
+
+NomadBackEnd::AccessResult
+NomadBackEnd::parkAccess(Pcshr &p, const MemRequestPtr &req,
+                         std::uint32_t idx, PortWaiter *waiter)
+{
     for (auto &se : p.subEntries) {
-        if (!se.valid) {
-            se.valid = true;
-            se.isWrite = false;
-            se.subIdx = idx;
-            se.req = req;
-            ++dataMisses;
-            if (auto *sink = p.traceId ? tracer() : nullptr) {
-                sink->asyncInstant(
-                    tracePid(), "subentry_parked", trace::Cat::Copy,
-                    p.traceId, curTick(),
-                    {{"sub_block", static_cast<double>(idx)},
-                     {"write", 0}});
-            }
-            return AccessResult::Pending;
+        if (se.valid)
+            continue;
+        se = SubEntry{true, req->isWrite, idx, req};
+        ++dataMisses;
+        if (auto *sink = p.traceId ? tracer() : nullptr) {
+            sink->asyncInstant(tracePid(), "subentry_parked",
+                               trace::Cat::Copy, p.traceId, curTick(),
+                               {{"sub_block", static_cast<double>(idx)},
+                                {"write", req->isWrite ? 1.0 : 0.0}});
         }
+        return AccessResult::Pending;
     }
     ++subEntryRejects;
     accessWaiters_.park(waiter);
@@ -613,47 +453,10 @@ NomadBackEnd::hasFillInFlight(PageNum cfn) const
 void
 NomadBackEnd::tick()
 {
-    // Hardened paths only; both stay off the default fast path.
+    // Hardened path only; stays off the default fast path.
     if (injector_)
         drainBlockedCommands();
-    if (params_.copyTimeoutTicks > 0)
-        checkCopyTimeouts();
-
-    if (activePcshrs_ == 0)
-        return;
-    const auto n = static_cast<std::uint32_t>(pcshrs_.size());
-    if (pump_.asleep()) {
-        // Asleep: the pass below is a proven no-op; only the fairness
-        // cursor advances (see skipTicks).
-        rrCursor_ = (rrCursor_ + 1) % n;
-        return;
-    }
-    pump_.beginPass();
-    // Round-robin across PCSHRs so one hot command cannot starve the
-    // others' source-read issue slots.
-    for (std::uint32_t off = 0; off < n; ++off) {
-        const std::uint32_t slot = (rrCursor_ + off) % n;
-        if (!pcshrs_[slot].valid)
-            continue;
-        issueReads(static_cast<int>(slot));
-        drainWrites(static_cast<int>(slot));
-        maybeComplete(static_cast<int>(slot));
-    }
-    rrCursor_ = (rrCursor_ + 1) % n;
-    // A pass with no issue and no completion leaves all PCSHR state
-    // untouched; further passes stay no-ops until an arrival, an
-    // access, a new command, or a refusing channel wakes the pump.
-    pump_.endPass();
-}
-
-int
-NomadBackEnd::findFreeSlot() const
-{
-    for (std::size_t i = 0; i < pcshrs_.size(); ++i) {
-        if (!pcshrs_[i].valid)
-            return static_cast<int>(i);
-    }
-    return -1;
+    pumpSlots();
 }
 
 void
@@ -674,44 +477,10 @@ NomadBackEnd::drainBlockedCommands()
 }
 
 void
-NomadBackEnd::checkCopyTimeouts()
-{
-    const Tick now = curTick();
-    for (std::size_t i = 0; i < pcshrs_.size(); ++i) {
-        const Pcshr &p = pcshrs_[i];
-        // Only copies that hold a buffer can be stuck on lost reads; a
-        // buffer-less PCSHR is legitimately parked in the FIFO.
-        if (p.valid && p.bufferId >= 0 &&
-            now - p.lastProgress > params_.copyTimeoutTicks) {
-            retryCopy(static_cast<int>(i));
-        }
-    }
-}
-
-void
-NomadBackEnd::retryCopy(int slot)
-{
-    pump_.touch();
-    Pcshr &p = pcshrs_[slot];
-    // Abort-and-refetch (docs/HARDENING.md): orphan every in-flight
-    // read by bumping the generation — a late arrival is then dropped
-    // as stale — and rewind R to the sub-blocks that actually landed
-    // so issueReads() re-fetches the lost ones.
-    p.rewindLost(curTick());
-    ++copyRetries;
-    if (auto *sink = p.traceId ? tracer() : nullptr) {
-        sink->asyncInstant(tracePid(), "copy_retry", trace::Cat::Copy,
-                           p.traceId, curTick(),
-                           {{"slot", static_cast<double>(slot)}});
-    }
-    issueReads(slot);
-}
-
-void
 NomadBackEnd::checkDrained() const
 {
-    NOMAD_CHECK(*this, activePcshrs_ == 0,
-                "PCSHR leak: ", activePcshrs_, " still active at drain");
+    NOMAD_CHECK(*this, active_ == 0,
+                "PCSHR leak: ", active_, " still active at drain");
     NOMAD_CHECK(*this, waitQ_.empty(),
                 "interface leak: ", waitQ_.size(),
                 " commands still queued at drain");
@@ -724,7 +493,7 @@ NomadBackEnd::checkDrained() const
     NOMAD_CHECK(*this, accessWaiters_.parked() == 0,
                 "waiter leak: ", accessWaiters_.parked(),
                 " refused accesses still parked at drain");
-    for (const auto &p : pcshrs_) {
+    for (const auto &p : slots_) {
         NOMAD_CHECK(*this, !p.valid && p.readsInFlight == 0,
                     "PCSHR for cfn ", p.cfn, " not released at drain");
         for (const auto &se : p.subEntries) {
@@ -738,14 +507,14 @@ NomadBackEnd::checkDrained() const
 void
 NomadBackEnd::snapshot(harden::Snapshot &snap) const
 {
-    snap.set(name_, "activePcshrs", static_cast<double>(activePcshrs_));
+    snap.set(name_, "activePcshrs", static_cast<double>(active_));
     snap.set(name_, "queuedCommands",
              static_cast<double>(waitQ_.size()));
     snap.set(name_, "freeBuffers", static_cast<double>(freeBuffers_));
     snap.set(name_, "bufferWaiters",
              static_cast<double>(bufferWaiters_.size()));
-    for (std::size_t i = 0; i < pcshrs_.size(); ++i) {
-        const Pcshr &p = pcshrs_[i];
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        const Pcshr &p = slots_[i];
         if (!p.valid)
             continue;
         std::uint32_t parked = 0;
