@@ -3,7 +3,10 @@
  * Golden-output regression tests: the merged stats JSON of small
  * fig9, rmhb (all registered schemes) and tiering sweeps, and of a
  * fault-injected sweep of the copy-engine schemes, must stay
- * byte-identical to the files under tests/golden/.
+ * byte-identical to the files under tests/golden/. So must the DRAM
+ * command order: every read's completion tick under a saturating
+ * random load on each DRAM preset (dram_order.json), which the system
+ * goldens only see through aggregate stats.
  *
  * This is the guard rail for the raw-speed work (docs/PERFORMANCE.md):
  * every optimization of the simulation kernel — event pooling,
@@ -26,8 +29,10 @@
 #include <string>
 #include <vector>
 
+#include "dram/device.hh"
 #include "runner/suites.hh"
 #include "runner/sweep.hh"
+#include "sim/rng.hh"
 
 #ifndef NOMAD_GOLDEN_DIR
 #error "NOMAD_GOLDEN_DIR must point at tests/golden"
@@ -166,6 +171,200 @@ TEST(Golden, HardenedSmallStatsJsonIsByteIdentical)
         }
     }
     checkGolden("hardened_small", mergedStats(all));
+}
+
+/** What the DRAM-order drive observed of one channel. */
+struct ChannelLog
+{
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+    std::uint64_t readRefusals = 0;
+    std::uint64_t writeRefusals = 0;
+    std::size_t peakReadQueue = 0;
+    std::size_t peakWriteQueue = 0;
+    /** Write queue fell from the high to the low watermark while
+     *  reads were queued. */
+    std::uint64_t drains = 0;
+    bool aboveHigh = false;
+};
+
+/**
+ * Drive one DRAM device with a seeded random mix of reads and writes
+ * over four rows per bank, and return every read's completion tick
+ * (in acceptance order), per-channel observations and the device
+ * stats as JSON. Three bursts shift the read/write mix (read-heavy,
+ * write-heavy, both saturating) and are separated by idle gaps long
+ * enough for refreshes to fall due while the channels sleep. A
+ * quarter of the requests reuse a recent block, so reads forward from
+ * the write queue and writes merge. It also asserts that the load
+ * filled both queues, crossed the write-drain watermarks, forwarded,
+ * merged, refreshed, and saw row hits, misses and conflicts.
+ */
+std::string
+driveDramOrder(const DramTiming &t, std::uint64_t seed)
+{
+    Simulation sim;
+    DramDevice dev(sim, "dram", t);
+    Rng rng(seed);
+
+    const Addr row_stride = static_cast<Addr>(t.channels) *
+                            t.ranksPerChannel * t.banksPerRank() *
+                            t.rowBytes;
+    const Addr span = 4 * row_stride;
+    std::vector<Addr> recent(16, 0);
+    auto pick = [&]() -> Addr {
+        if (rng.chance(0.25))
+            return recent[rng.nextRange(recent.size())];
+        const Addr a = blockAlign(rng.nextRange(span));
+        recent[rng.nextRange(recent.size())] = a;
+        return a;
+    };
+    static constexpr Category ReadCats[] = {
+        Category::Demand, Category::Fill, Category::Metadata};
+    static constexpr Category WriteCats[] = {Category::Demand,
+                                             Category::Writeback};
+
+    std::vector<Tick> done;
+    std::vector<ChannelLog> logs(t.channels);
+    MemRequestPtr read;
+    MemRequestPtr write;
+    std::uint32_t read_ch = 0;
+    std::uint32_t write_ch = 0;
+
+    struct Burst
+    {
+        double readRate;  ///< Reads offered per peak CAS slot.
+        double writeRate; ///< Writes offered per peak CAS slot.
+        Tick ticks;
+        Tick gap;
+    };
+    // Offered rates are multiples of the device's peak CAS rate.
+    const double peak = static_cast<double>(t.channels) /
+                        (static_cast<double>(t.burstCycles) * t.clkRatio);
+    const Tick refi = static_cast<Tick>(t.tREFI) * t.clkRatio;
+    const Burst bursts[] = {{1.5, 0.3, 2 * refi, refi + refi / 2},
+                            {0.3, 1.5, 2 * refi, 3 * refi},
+                            {1.0, 1.0, 2 * refi, 0}};
+    for (const Burst &b : bursts) {
+        for (Tick i = 0; i < b.ticks; ++i) {
+            if (!read && rng.chance(b.readRate * peak)) {
+                const Addr a = pick();
+                read_ch = dev.channelOf(a);
+                const std::size_t idx = done.size();
+                done.push_back(0);
+                read = makeRequest(
+                    a, false, ReadCats[rng.nextRange(3)],
+                    MemSpace::OffPackage, sim.now(),
+                    [log = &done, idx](Tick when) {
+                        (*log)[idx] = when;
+                    });
+            }
+            if (!write && rng.chance(b.writeRate * peak)) {
+                const Addr a = pick();
+                write_ch = dev.channelOf(a);
+                write = makeRequest(a, true, WriteCats[rng.nextRange(2)],
+                                    MemSpace::OffPackage, sim.now());
+            }
+            if (read) {
+                if (dev.tryAccess(read, nullptr)) {
+                    ++logs[read_ch].reads;
+                    read.reset();
+                } else {
+                    ++logs[read_ch].readRefusals;
+                }
+            }
+            if (write) {
+                if (dev.tryAccess(write, nullptr)) {
+                    ++logs[write_ch].writes;
+                    write.reset();
+                } else {
+                    ++logs[write_ch].writeRefusals;
+                }
+            }
+            sim.run(1);
+            for (std::uint32_t c = 0; c < t.channels; ++c) {
+                ChannelLog &log = logs[c];
+                const std::size_t rq = dev.channel(c).readQueueSize();
+                const std::size_t wq = dev.channel(c).writeQueueSize();
+                log.peakReadQueue = std::max(log.peakReadQueue, rq);
+                log.peakWriteQueue = std::max(log.peakWriteQueue, wq);
+                if (wq >= t.writeHighWatermark)
+                    log.aboveHigh = true;
+                if (log.aboveHigh && wq <= t.writeLowWatermark &&
+                    rq > 0) {
+                    ++log.drains;
+                    log.aboveHigh = false;
+                }
+            }
+        }
+        sim.run(b.gap);
+    }
+    // Drain: every accepted read completes (the pending ones were
+    // never accepted and are dropped with their callbacks).
+    if (read)
+        done.pop_back();
+    for (int i = 0; i < 1000 &&
+                    std::find(done.begin(), done.end(), Tick(0)) !=
+                        done.end();
+         ++i) {
+        sim.run(1000);
+    }
+
+    // Coverage of the behaviours the golden is meant to pin.
+    std::size_t peak_read = 0;
+    std::size_t peak_write = 0;
+    std::uint64_t drains = 0;
+    for (const ChannelLog &log : logs) {
+        peak_read = std::max(peak_read, log.peakReadQueue);
+        peak_write = std::max(peak_write, log.peakWriteQueue);
+        drains += log.drains;
+    }
+    EXPECT_EQ(std::count(done.begin(), done.end(), Tick(0)), 0)
+        << t.name << ": every accepted read must complete";
+    EXPECT_EQ(peak_read, t.readQueueDepth) << t.name;
+    EXPECT_EQ(peak_write, t.writeQueueDepth) << t.name;
+    EXPECT_GT(drains, 0u) << t.name;
+    const DramStats &s = dev.stats();
+    EXPECT_GT(s.forwards.value(), 0.0) << t.name;
+    EXPECT_GT(s.mergedWrites.value(), 0.0) << t.name;
+    EXPECT_GT(s.refreshes.value(), 0.0) << t.name;
+    EXPECT_GT(s.rowHits.value(), 0.0) << t.name;
+    EXPECT_GT(s.rowMisses.value(), 0.0) << t.name;
+    EXPECT_GT(s.rowConflicts.value(), 0.0) << t.name;
+
+    std::ostringstream out;
+    out << "{\n\"read_done\": [";
+    for (std::size_t i = 0; i < done.size(); ++i)
+        out << (i ? (i % 12 ? ", " : ",\n  ") : "\n  ") << done[i];
+    out << "\n],\n\"channels\": [";
+    for (std::size_t c = 0; c < logs.size(); ++c) {
+        const ChannelLog &log = logs[c];
+        out << (c ? ",\n  " : "\n  ") << "{\"reads\": " << log.reads
+            << ", \"writes\": " << log.writes
+            << ", \"read_refusals\": " << log.readRefusals
+            << ", \"write_refusals\": " << log.writeRefusals
+            << ", \"peak_read_queue\": " << log.peakReadQueue
+            << ", \"peak_write_queue\": " << log.peakWriteQueue
+            << ", \"drains\": " << log.drains << "}";
+    }
+    out << "\n],\n\"end_tick\": " << sim.now() << ",\n\"stats\": ";
+    sim.statistics().dumpJson(out);
+    out << "}";
+    return out.str();
+}
+
+/**
+ * DRAM scheduling order under a saturating load: FR-FCFS picks, write
+ * drain hysteresis, forwarding, merging, refresh and the channel
+ * sleep bounds all show up in the read completion ticks.
+ */
+TEST(Golden, DramOrderIsByteIdentical)
+{
+    std::ostringstream out;
+    out << "{\"ddr4\": " << driveDramOrder(DramTiming::ddr4_3200(), 11)
+        << ",\n\"hbm2\": " << driveDramOrder(DramTiming::hbm2(), 13)
+        << "}\n";
+    checkGolden("dram_order", out.str());
 }
 
 } // namespace
