@@ -448,6 +448,199 @@ TEST(DramDevice, CategoryAccounting)
               64.0);
 }
 
+/**
+ * The address of block @p column of @p row in the given bank of a
+ * one-channel device under the default mapping (found by decoding
+ * the row's address range, so the test does not restate the field
+ * layout).
+ */
+Addr
+addrOf(const DramTiming &t, std::uint32_t rank, std::uint32_t bank_group,
+       std::uint32_t bank, std::uint64_t row, std::uint64_t column)
+{
+    const Addr stride = static_cast<Addr>(t.channels) *
+                        t.ranksPerChannel * t.banksPerRank() * t.rowBytes;
+    for (Addr a = row * stride; a < (row + 1) * stride; a += BlockBytes) {
+        const DramCoord c =
+            decodeAddress(a, t, MappingScheme::Co1ChBgBaCoRaRo);
+        if (c.rank == rank && c.bankGroup == bank_group &&
+            c.bank == bank && c.row == row && c.column == column)
+            return a;
+    }
+    ADD_FAILURE() << "no address for the requested coordinates";
+    return 0;
+}
+
+/** One DDR4 channel (two ranks). */
+DramTiming
+oneDdrChannel()
+{
+    DramTiming t = DramTiming::ddr4_3200();
+    t.channels = 1;
+    return t;
+}
+
+/** A read whose completion tick lands in @p done. */
+MemRequestPtr
+readInto(Addr addr, Tick now, Tick &done)
+{
+    return makeRequest(addr, false, Category::Demand,
+                       MemSpace::OffPackage, now,
+                       [&done](Tick when) { done = when; });
+}
+
+/** Row-buffer outcome counters of @p dev as (hits, misses, conflicts). */
+std::tuple<double, double, double>
+rowOutcomes(const DramDevice &dev)
+{
+    const DramStats &s = dev.stats();
+    return {s.rowHits.value(), s.rowMisses.value(),
+            s.rowConflicts.value()};
+}
+
+TEST(FrFcfs, YoungerRowHitIssuesBeforeOlderRowMiss)
+{
+    Simulation sim;
+    const DramTiming t = oneDdrChannel();
+    DramDevice dev(sim, "dram", t);
+    timedRead(sim, dev, addrOf(t, 0, 1, 2, 0, 0)); // Open row 0.
+    sim.run(1000);
+    const auto [hits, misses, conflicts] = rowOutcomes(dev);
+
+    // The older read needs another row of the same bank; plain FCFS
+    // would precharge the bank under the younger read's open row.
+    Tick older = 0;
+    Tick younger = 0;
+    ASSERT_TRUE(dev.tryAccess(
+        readInto(addrOf(t, 0, 1, 2, 1, 0), sim.now(), older), nullptr));
+    ASSERT_TRUE(dev.tryAccess(
+        readInto(addrOf(t, 0, 1, 2, 0, 1), sim.now(), younger),
+        nullptr));
+    while (older == 0)
+        sim.run(100);
+    ASSERT_GT(younger, 0u);
+    EXPECT_LT(younger, older);
+    EXPECT_EQ(dev.stats().rowHits.value(), hits + 1);
+    EXPECT_EQ(dev.stats().rowMisses.value(), misses);
+    EXPECT_EQ(dev.stats().rowConflicts.value(), conflicts + 1);
+}
+
+TEST(FrFcfs, YoungerEntryNeverPrechargesTheOlderEntrysRow)
+{
+    Simulation sim;
+    const DramTiming t = oneDdrChannel();
+    DramDevice dev(sim, "dram", t);
+    // Bank (bg 1, bank 2) holds row 0 open; bank (bg 1, bank 3) is in
+    // the same bank group and holds row 5 open.
+    timedRead(sim, dev, addrOf(t, 0, 1, 2, 0, 0));
+    timedRead(sim, dev, addrOf(t, 0, 1, 3, 5, 0));
+    sim.run(1000);
+    const auto [hits, misses, conflicts] = rowOutcomes(dev);
+
+    // The first read CASes at once and closes the bank group's tCCD
+    // gate after the data bus is free again. In that window the older
+    // row hit cannot CAS, and the bank's tRAS/tRTP have long passed:
+    // only the bank's oldest entry may move it, so the younger
+    // entry's row must not replace the older entry's open row.
+    Tick first = 0;
+    Tick older = 0;
+    Tick younger = 0;
+    ASSERT_TRUE(dev.tryAccess(
+        readInto(addrOf(t, 0, 1, 3, 5, 1), sim.now(), first), nullptr));
+    ASSERT_TRUE(dev.tryAccess(
+        readInto(addrOf(t, 0, 1, 2, 0, 1), sim.now(), older), nullptr));
+    ASSERT_TRUE(dev.tryAccess(
+        readInto(addrOf(t, 0, 1, 2, 7, 0), sim.now(), younger),
+        nullptr));
+    while (younger == 0)
+        sim.run(100);
+    EXPECT_LT(first, older);
+    EXPECT_LT(older, younger);
+    EXPECT_EQ(dev.stats().rowHits.value(), hits + 2);
+    EXPECT_EQ(dev.stats().rowMisses.value(), misses);
+    EXPECT_EQ(dev.stats().rowConflicts.value(), conflicts + 1);
+}
+
+TEST(FrFcfs, WriteDrainRunsFromHighToLowWatermarkWhileReadsWait)
+{
+    Simulation sim;
+    const DramTiming t = oneDdrChannel();
+    DramDevice dev(sim, "dram", t);
+    DramChannel &ch = dev.channel(0);
+    timedRead(sim, dev, addrOf(t, 0, 0, 0, 0, 0)); // Open the read row.
+    sim.run(1000);
+    const auto [hits, misses, conflicts] = rowOutcomes(dev);
+    const double reads_before = dev.stats().readReqs.value();
+    // Write CASes so far: every CAS that was not a read's.
+    auto write_cas = [&, h0 = hits, m0 = misses, c0 = conflicts] {
+        const auto [h, m, c] = rowOutcomes(dev);
+        return (h - h0) + (m - m0) + (c - c0) -
+               (dev.stats().readReqs.value() - reads_before);
+    };
+
+    // Keep four reads to one row queued. Back-to-back row hits CAS
+    // every tCCD, before the write CAS gate (tRTW, and the bus behind
+    // tCL) opens, so outside drain mode the writes never get a slot.
+    std::uint64_t read_row = 0;
+    std::uint64_t read_col = 1;
+    auto keep_reads_queued = [&] {
+        while (ch.readQueueSize() < 4) {
+            ASSERT_TRUE(dev.tryAccess(
+                makeRequest(addrOf(t, 0, 0, 0, read_row,
+                                   read_col++ % t.blocksPerRow()),
+                            false, Category::Demand,
+                            MemSpace::OffPackage, sim.now()),
+                nullptr));
+        }
+    };
+    // The writes the drain should leave queued go to a second row of
+    // the write bank: issuing them needs a precharge and an activate,
+    // so only drain mode would issue them ahead of waiting reads.
+    const std::uint32_t drained = t.writeHighWatermark -
+                                  t.writeLowWatermark;
+    for (std::uint32_t w = 0; w < t.writeHighWatermark; ++w) {
+        keep_reads_queued();
+        ASSERT_EQ(write_cas(), 0.0)
+            << "writes issued below the high watermark ("
+            << ch.writeQueueSize() << " queued)";
+        ASSERT_TRUE(dev.tryAccess(
+            makeRequest(addrOf(t, 0, 2, 1, w < drained ? 3 : 4, w), true,
+                        Category::Writeback, MemSpace::OffPackage,
+                        sim.now()),
+            nullptr));
+        sim.run(1);
+    }
+    ASSERT_EQ(ch.writeQueueSize(), t.writeHighWatermark);
+
+    // Drain mode. New reads go to another row of the read bank: they
+    // need a precharge and an activate, and each write burst holds
+    // the read CAS gate shut (tWTR), so they wait while the writes
+    // drain. The drain stops at the low watermark because reads wait,
+    // and the row-hit reads then keep the second-row writes queued.
+    // The row hits still queued from before may fill gaps in the
+    // write stream; the reads queued from here on wait.
+    read_row = 1;
+    const double read_limit = dev.stats().readReqs.value() +
+                              static_cast<double>(ch.readQueueSize());
+    for (int i = 0; i < 4000; ++i) {
+        keep_reads_queued();
+        sim.run(1);
+        ASSERT_GE(ch.writeQueueSize(), t.writeLowWatermark);
+        if (ch.writeQueueSize() > t.writeLowWatermark) {
+            ASSERT_LE(dev.stats().readReqs.value(), read_limit)
+                << "a new read issued while the drain ran";
+        }
+    }
+    EXPECT_EQ(ch.writeQueueSize(), t.writeLowWatermark);
+    EXPECT_EQ(write_cas(), static_cast<double>(drained));
+
+    // No reads left: the rest of the writes drain.
+    sim.run(4000);
+    EXPECT_EQ(ch.readQueueSize(), 0u);
+    EXPECT_EQ(ch.writeQueueSize(), 0u);
+    EXPECT_EQ(write_cas(), static_cast<double>(t.writeHighWatermark));
+}
+
 /** Property: under random traffic every read completes, never faster
  *  than the device's minimum latency, and total data moved never
  *  exceeds the peak-bandwidth bound. */
