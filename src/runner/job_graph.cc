@@ -135,6 +135,9 @@ class Executor
         std::vector<std::size_t> ready;
         // (report, terminal ordinal) pairs for the progress callback.
         std::vector<std::pair<JobReport, std::size_t>> announce;
+        // Taken before mutex_ is released, so announcements leave in
+        // ordinal order even when two workers retire at once.
+        std::unique_lock<std::mutex> announcing;
         bool finished;
         {
             const std::lock_guard<std::mutex> lock(mutex_);
@@ -168,11 +171,13 @@ class Executor
                 }
             }
             finished = terminal_ == jobs_.size();
+            if (progress_)
+                announcing = std::unique_lock<std::mutex>(progressMutex_);
         }
         if (progress_) {
-            const std::lock_guard<std::mutex> lock(progressMutex_);
             for (const auto &[report, ordinal] : announce)
                 progress_(report, ordinal, jobs_.size());
+            announcing.unlock();
         }
         for (const std::size_t r : ready)
             submit(r);
