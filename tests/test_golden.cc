@@ -1,8 +1,9 @@
 /**
  * @file
  * Golden-output regression tests: the merged stats JSON of small
- * fig9, rmhb (all registered schemes) and tiering sweeps, and of a
- * fault-injected sweep of the copy-engine schemes, must stay
+ * fig9, rmhb (all registered schemes) and tiering sweeps, of a
+ * fault-injected sweep of the copy-engine schemes, and of the line
+ * caches under a tiny DC and MSHR file, must stay
  * byte-identical to the files under tests/golden/. So must the DRAM
  * command order: every read's completion tick under a saturating
  * random load on each DRAM preset (dram_order.json), which the system
@@ -171,6 +172,105 @@ TEST(Golden, HardenedSmallStatsJsonIsByteIdentical)
         }
     }
     checkGolden("hardened_small", mergedStats(all));
+}
+
+/** The value of scalar @p stat of component @p comp in one run's
+ *  stats JSON (Statistics::dumpJson nests `{"comp": {"stat":
+ *  {..., "value": N}}}`), or -1 when absent. */
+double
+scalarOf(const std::string &json, const std::string &comp,
+         const std::string &stat)
+{
+    const std::size_t c = json.find("\"" + comp + "\": {");
+    if (c == std::string::npos)
+        return -1;
+    const std::size_t s = json.find("\"" + stat + "\": {", c);
+    if (s == std::string::npos)
+        return -1;
+    const std::size_t v = json.find("\"value\": ", s);
+    if (v == std::string::npos)
+        return -1;
+    return std::stod(json.substr(v + 9));
+}
+
+/**
+ * The line caches' (TiD, Alloy, TDRAM) victim, writeback and
+ * back-pressure paths, which the rmhb and fig9 goldens never reach
+ * (their line-cache runs have no conflict eviction, dirty writeback
+ * or reject): a 16-frame DC with 4 MSHRs and a 2-entry controller
+ * queue on cact and libq, under invariant checks and the drain
+ * audit. Alloy and TDRAM hit nothing at 16 frames, so one job of
+ * each runs a 256-frame DC to reach their hit (and Alloy's predictor)
+ * paths.
+ */
+TEST(Golden, LineCacheSmallStatsJsonIsByteIdentical)
+{
+    struct Shape
+    {
+        SchemeKind scheme;
+        const char *workload;
+        std::uint64_t dcFrames;
+    };
+    const Shape shapes[] = {
+        {SchemeKind::Tid, "cact", 16},
+        {SchemeKind::Tid, "libq", 16},
+        {SchemeKind::Alloy, "cact", 16},
+        {SchemeKind::Alloy, "libq", 16},
+        {SchemeKind::Alloy, "cact", 256},
+        {SchemeKind::Tdram, "cact", 16},
+        {SchemeKind::Tdram, "libq", 16},
+        {SchemeKind::Tdram, "cact", 256},
+    };
+    Sweep sweep;
+    for (const Shape &sh : shapes) {
+        SuiteOptions suiteOpts;
+        suiteOpts.instrPerCore = 20000;
+        suiteOpts.cores = 2;
+        SystemConfig cfg = suiteConfig(suiteOpts, sh.scheme, sh.workload);
+        cfg.dcFrames = sh.dcFrames;
+        cfg.tid.mshrs = cfg.alloy.mshrs = cfg.tdram.mshrs = 4;
+        cfg.tid.controllerQueueDepth = cfg.alloy.controllerQueueDepth =
+            cfg.tdram.controllerQueueDepth = 2;
+        sweep.add(SimJob{std::string(schemeKindName(sh.scheme)) + "/" +
+                             sh.workload + "/" +
+                             std::to_string(sh.dcFrames),
+                         cfg,
+                         {}});
+    }
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.baseSeed = 12345;
+    opts.wantStatsJson = true;
+    opts.samplePeriod = 5000;
+    opts.harden.checkInvariants = true;
+    const std::vector<SweepRunResult> runs = sweep.run(opts);
+    ASSERT_EQ(runs.size(), std::size(shapes));
+
+    // The golden only guards these paths if the runs reach them.
+    auto sum = [&](const char *comp, const char *stat) {
+        double total = 0;
+        for (const SweepRunResult &r : runs) {
+            const double v = scalarOf(r.statsJson, comp, stat);
+            if (v > 0)
+                total += v;
+        }
+        return total;
+    };
+    for (const SweepRunResult &r : runs)
+        ASSERT_TRUE(r.ok()) << r.report.label << ": " << r.report.error;
+    for (const char *comp : {"tid", "alloy", "tdram"}) {
+        for (const char *stat : {"dcHits", "conflictEvictions",
+                                 "dirtyWritebacks", "rejects"}) {
+            EXPECT_GT(sum(comp, stat), 0.0) << comp << "." << stat;
+        }
+    }
+    EXPECT_GT(sum("tid", "dcMissesMerged"), 0.0);
+    EXPECT_GT(sum("alloy", "spuriousFetches"), 0.0);
+    // Predicted hits that missed wait behind the on-package probe.
+    EXPECT_GT(sum("alloy", "dcMisses"),
+              sum("alloy", "missPredictions") -
+                  sum("alloy", "spuriousFetches"));
+    checkGolden("line_cache_small", mergedStats(runs));
 }
 
 /** What the DRAM-order drive observed of one channel. */
