@@ -17,12 +17,24 @@ lineParamsOf(const AlloyParams &p)
 {
     LineCacheParams lp;
     lp.capacityBytes = p.capacityBytes;
+    lp.lineBytes = BlockBytes;
     lp.assoc = 1; // Direct-mapped: the TAD burst checks one location.
     lp.mshrs = p.mshrs;
     lp.targetsPerMshr = p.targetsPerMshr;
+    lp.maxReadsInFlight = 1;
     lp.maxWritebackJobs = p.maxWritebackJobs;
     lp.controllerQueueDepth = p.controllerQueueDepth;
     return lp;
+}
+
+/** The parameters the registry builds Alloy with from @p cfg. */
+AlloyParams
+paramsFor(const SystemConfig &cfg)
+{
+    AlloyParams p = cfg.alloy;
+    if (p.capacityBytes == 0)
+        p.capacityBytes = cfg.dcFrames * PageBytes;
+    return p;
 }
 
 } // namespace
@@ -93,12 +105,7 @@ AlloyScheme::issueProbe(std::size_t slot)
                                  if (mm.valid && mm.generation == gen)
                                      issueFetch(slot);
                              });
-    if (!onPackage_->tryAccess(probe, pump_.waiter())) {
-        m.state = FetchState::PreFetch;
-        setBlocked(m, true);
-        return;
-    }
-    setBlocked(m, false);
+    setBlocked(m, !onPackage_->tryAccess(probe, pump_.waiter()));
 }
 
 void
@@ -167,10 +174,8 @@ registerAlloyScheme(SchemeRegistry &reg)
         "miss predictor";
     entry.factory = [](const SchemeBuildContext &ctx)
         -> std::unique_ptr<DramCacheScheme> {
-        AlloyParams p = ctx.config.alloy;
-        if (p.capacityBytes == 0)
-            p.capacityBytes = ctx.config.dcFrames * PageBytes;
-        return std::make_unique<AlloyScheme>(ctx.sim, "alloy", p,
+        return std::make_unique<AlloyScheme>(ctx.sim, "alloy",
+                                             paramsFor(ctx.config),
                                              ctx.offPackage,
                                              ctx.onPackage,
                                              ctx.pageTable);
@@ -180,13 +185,7 @@ registerAlloyScheme(SchemeRegistry &reg)
             throw harden::SimError(harden::ErrorKind::ConfigError,
                                    "bad config: " + msg);
         };
-        if (cfg.alloy.mshrs == 0)
-            reject("alloy.mshrs must be >= 1");
-        if (cfg.alloy.controllerQueueDepth == 0)
-            reject("alloy.controllerQueueDepth must be >= 1");
-        if (cfg.alloy.capacityBytes % BlockBytes != 0)
-            reject("alloy.capacityBytes must be a multiple of the "
-                   "64B block size");
+        validateLineCache("alloy", lineParamsOf(paramsFor(cfg)));
         if (cfg.alloy.predictorBits > 16)
             reject("alloy.predictorBits must be <= 16");
         if (cfg.alloy.tagBytesPerAccess > BlockBytes)

@@ -2,9 +2,46 @@
 
 #include "dramcache/scheme_results.hh"
 #include "sim/stat_sampler.hh"
+#include "sim/trace.hh"
 
 namespace nomad
 {
+
+void
+validateLineCache(const std::string &prefix, const LineCacheParams &p)
+{
+    auto reject = [&prefix](const std::string &msg) {
+        throw harden::SimError(harden::ErrorKind::ConfigError,
+                               "bad config: " + prefix + "." + msg);
+    };
+    if (p.lineBytes < BlockBytes || p.lineBytes % BlockBytes != 0 ||
+        p.lineBytes / BlockBytes > 64) {
+        reject(detail::concat("lineBytes must be a multiple of 64 up "
+                              "to 4096 (got ",
+                              p.lineBytes, ")"));
+    }
+    if (p.assoc == 0)
+        reject("assoc must be >= 1");
+    const std::uint64_t set_bytes =
+        static_cast<std::uint64_t>(p.assoc) * p.lineBytes;
+    if (p.capacityBytes == 0 || p.capacityBytes % set_bytes != 0) {
+        reject(detail::concat("capacityBytes (", p.capacityBytes,
+                              ") must be a nonzero multiple of assoc x "
+                              "lineBytes (",
+                              set_bytes, ")"));
+    }
+    if (p.mshrs == 0)
+        reject("mshrs must be >= 1");
+    if (p.targetsPerMshr == 0)
+        reject("targetsPerMshr must be >= 1");
+    // Each of these at 0 stalls the controller for good.
+    if (p.maxReadsInFlight == 0)
+        reject("maxReadsInFlight must be >= 1");
+    if (p.maxWritebackJobs == 0)
+        reject("maxWritebackJobs must be >= 1");
+    if (p.controllerQueueDepth == 0)
+        reject("controllerQueueDepth must be >= 1");
+}
 
 LineCacheScheme::LineCacheScheme(Simulation &sim,
                                  const std::string &name,
@@ -22,13 +59,10 @@ LineCacheScheme::LineCacheScheme(Simulation &sim,
       dirtyWritebacks(name + ".dirtyWritebacks",
                       "dirty victim lines written back"),
       rejects(name + ".rejects", "accesses rejected (backpressure)"),
-      params_(params)
+      params_(params), mshrCounterName_(name + ".mshr")
 {
-    fatal_if(params.assoc == 0, name, ": assoc must be >= 1");
-    fatal_if(params.capacityBytes % (BlockBytes * params.assoc) != 0,
-             name, ": capacity must divide into sets");
-    fatal_if(params.mshrs == 0, name, ": need at least one MSHR");
-    numSets_ = params.capacityBytes / (BlockBytes * params.assoc);
+    validateLineCache(name, params);
+    numSets_ = params.capacityBytes / (params.lineBytes * params.assoc);
     tags_.resize(numSets_ * params.assoc);
     mshrs_.resize(params.mshrs);
     mshrIndex_.reserve(params.mshrs);
@@ -63,10 +97,12 @@ LineCacheScheme::allocMshr()
     for (auto &m : mshrs_) {
         if (!m.valid) {
             m.valid = true;
-            m.makeDirty = false;
-            m.arrived = false;
+            m.launched = false;
             m.blocked = false;
-            m.state = FetchState::PreFetch;
+            m.rVec = 0;
+            m.bVec = 0;
+            m.wVec = 0;
+            m.readsInFlight = 0;
             m.targets.clear();
             ++activeMshrs_;
             return &m;
@@ -88,27 +124,30 @@ LineCacheScheme::setBlocked(Mshr &m, bool blocked)
 }
 
 bool
-LineCacheScheme::serviceHit(const MemRequestPtr &req, std::uint64_t set,
-                            std::uint32_t way)
+LineCacheScheme::serviceHit(const MemRequestPtr &req, Addr line_addr,
+                            std::uint64_t set, std::uint32_t way)
 {
     TagEntry &e = entry(set, way);
-    auto demand = makeRequest(hbmAddrOf(set, way), req->isWrite,
-                              Category::Demand, MemSpace::OnPackage,
-                              curTick());
-    // Forward completion to the original request. The single
-    // on-package burst carries tag and data together (TAD / tag-
-    // enhanced row), so a hit costs no metadata traffic.
+    const auto block_idx =
+        static_cast<std::uint32_t>((req->addr - line_addr) / BlockBytes);
+    auto demand = makeRequest(hbmAddrOf(set, way, block_idx),
+                              req->isWrite, Category::Demand,
+                              MemSpace::OnPackage, curTick());
+    // Forward completion to the original request.
     auto original = req;
     demand->onComplete = [original](Tick when) {
         original->complete(when);
     };
-    if (!onPackage_->tryAccess(demand, pump_.waiter()))
+    if (!onPackage_->tryAccess(demand, pump_.waiter())) {
+        // Queue full: parked for a retry from the controller queue,
+        // before any hit-path side traffic was issued.
         return false;
+    }
     e.lastUse = ++useCounter_;
     if (req->isWrite)
         e.dirty = true;
     ++dcHits;
-    onHitAccess(req->addr - (req->addr % BlockBytes));
+    onHitAccess(line_addr);
     recordOutcome(true);
     return true;
 }
@@ -136,31 +175,31 @@ LineCacheScheme::tryAccess(const MemRequestPtr &req, PortWaiter *waiter)
 bool
 LineCacheScheme::attemptAccess(const MemRequestPtr &req)
 {
-    const Addr line_addr = req->addr - (req->addr % BlockBytes);
+    const Addr line_addr = req->addr - (req->addr % params_.lineBytes);
+    const auto block_idx =
+        static_cast<std::uint32_t>((req->addr - line_addr) / BlockBytes);
 
     // 1. Merge into an in-flight fill when possible.
     if (Mshr *m = findMshr(line_addr)) {
-        if (m->arrived) {
-            // The line already landed; serve from the fill buffer.
+        if (m->targets.size() >= params_.targetsPerMshr)
+            return false;
+        if ((m->bVec >> block_idx) & 1ULL) {
+            // The block already arrived; serve from the fill buffer.
             req->complete(curTick() + 1);
         } else {
-            if (m->targets.size() >= params_.targetsPerMshr)
-                return false;
-            m->targets.push_back(req);
+            m->targets.push_back(Target{req, block_idx});
         }
-        if (req->isWrite)
-            m->makeDirty = true;
         ++dcMissesMerged;
         return true;
     }
 
     // 2. Probe the tag array.
     const std::uint64_t set = setOf(line_addr);
-    const std::uint64_t tag = tagOf(line_addr);
+    const std::uint64_t tag = line_addr / params_.lineBytes;
     for (std::uint32_t w = 0; w < params_.assoc; ++w) {
         TagEntry &e = entry(set, w);
         if (e.valid && e.tag == tag)
-            return serviceHit(req, set, w);
+            return serviceHit(req, line_addr, set, w);
     }
 
     // 3. Miss: allocate an MSHR and a victim way.
@@ -190,7 +229,7 @@ LineCacheScheme::attemptAccess(const MemRequestPtr &req)
             WritebackJob job;
             job.id = nextWritebackId_++;
             job.hbmLineAddr = hbmAddrOf(set, victim);
-            job.ddrLineAddr = v.tag * static_cast<Addr>(BlockBytes);
+            job.ddrLineAddr = v.tag * params_.lineBytes;
             writebackJobs_.push_back(job);
         }
     }
@@ -199,109 +238,187 @@ LineCacheScheme::attemptAccess(const MemRequestPtr &req)
     v.tag = tag;
     v.lastUse = ++useCounter_;
 
+    const auto slot = static_cast<std::uint32_t>(m - mshrs_.data());
     m->lineAddr = line_addr;
-    mshrIndex_.insert(line_addr, static_cast<std::uint32_t>(
-                                     m - mshrs_.data()));
+    mshrIndex_.insert(line_addr, slot);
     m->set = set;
     m->way = victim;
-    m->makeDirty = req->isWrite;
-    m->targets.push_back(req);
-    launchFetch(static_cast<std::size_t>(m - mshrs_.data()));
+    m->priIdx = block_idx;
+    m->targets.push_back(Target{req, block_idx});
+    m->startedAt = curTick();
+    m->traceId = 0;
+    if (auto *sink = tracer();
+        sink && sink->enabled(trace::Cat::Copy)) {
+        m->traceId = sink->nextAsyncId();
+        sink->asyncBegin(
+            tracePid(), "linefill", trace::Cat::Copy, m->traceId,
+            m->startedAt,
+            {{"line_addr", static_cast<double>(m->lineAddr)},
+             {"set", static_cast<double>(m->set)},
+             {"way", static_cast<double>(m->way)},
+             {"pri_idx", static_cast<double>(m->priIdx)}});
+    }
+    traceMshrCounter();
+    launchFetch(slot);
     recordOutcome(false);
     return true;
 }
 
 void
-LineCacheScheme::issueFetch(std::size_t slot)
+LineCacheScheme::traceMshrCounter()
 {
-    Mshr &m = mshrs_[slot];
-    const std::uint64_t gen = m.generation;
-    auto req = makeRequest(m.lineAddr, false, Category::Fill,
-                           MemSpace::OffPackage, curTick(),
-                           [this, slot, gen](Tick when) {
-                               onFetchArrive(slot, gen, when);
-                           });
-    if (!offPackage_.tryAccess(req, pump_.waiter())) {
-        m.state = FetchState::Fetch;
-        setBlocked(m, true);
-        return;
+    if (auto *sink = tracer()) {
+        sink->counter(
+            tracePid(), mshrCounterName_.c_str(), curTick(),
+            {{"active", static_cast<double>(activeMshrs_)},
+             {"writeback_jobs",
+              static_cast<double>(writebackJobs_.size())}});
     }
-    m.state = FetchState::InFlight;
-    setBlocked(m, false);
 }
 
 void
-LineCacheScheme::onFetchArrive(std::size_t slot, std::uint64_t gen,
-                               Tick when)
+LineCacheScheme::issueFetch(std::size_t slot)
+{
+    mshrs_[slot].launched = true;
+    pumpMshr(slot);
+}
+
+void
+LineCacheScheme::pumpMshr(std::size_t slot)
+{
+    Mshr &m = mshrs_[slot];
+    const std::uint64_t all = allBlocks();
+    const std::uint32_t blocks = params_.lineBytes / BlockBytes;
+    bool blocked = false;
+    // Issue off-package reads, critical block first, then sequential.
+    while (m.readsInFlight < params_.maxReadsInFlight && m.rVec != all) {
+        std::uint32_t idx = m.priIdx;
+        while ((m.rVec >> idx) & 1ULL)
+            idx = (idx + 1) % blocks;
+        const std::uint64_t gen = m.generation;
+        auto req = makeRequest(
+            m.lineAddr + static_cast<Addr>(idx) * BlockBytes, false,
+            Category::Fill, MemSpace::OffPackage, curTick(),
+            [this, slot, gen, idx](Tick when) {
+                onFillBlock(slot, gen, idx, when);
+            });
+        if (!offPackage_.tryAccess(req, pump_.waiter())) {
+            blocked = true;
+            break;
+        }
+        m.rVec |= (1ULL << idx);
+        ++m.readsInFlight;
+        pump_.progress();
+    }
+
+    // Drain arrived blocks into the on-package data array.
+    for (std::uint64_t ready = m.bVec & ~m.wVec; ready != 0;
+         ready &= ready - 1) {
+        const auto idx =
+            static_cast<std::uint32_t>(__builtin_ctzll(ready));
+        auto wr = makeRequest(hbmAddrOf(m.set, m.way, idx), true,
+                              Category::Fill, MemSpace::OnPackage,
+                              curTick());
+        if (!onPackage_->tryAccess(wr, pump_.waiter())) {
+            blocked = true;
+            break;
+        }
+        m.wVec |= (1ULL << idx);
+        pump_.progress();
+    }
+
+    setBlocked(m, blocked);
+    if (m.wVec == all)
+        releaseMshr(slot);
+}
+
+void
+LineCacheScheme::onFillBlock(std::size_t slot, std::uint64_t gen,
+                             std::uint32_t idx, Tick when)
 {
     touch();
     Mshr &m = mshrs_[slot];
     if (!m.valid || m.generation != gen)
         return;
-    m.arrived = true;
-    // Critical-data-first response: targets complete on arrival; the
-    // install write proceeds in the background.
-    for (auto &target : m.targets)
-        target->complete(when + 1);
-    m.targets.clear();
-    m.state = FetchState::Install;
-    tryInstall(slot);
-}
-
-void
-LineCacheScheme::tryInstall(std::size_t slot)
-{
-    Mshr &m = mshrs_[slot];
-    auto wr = makeRequest(hbmAddrOf(m.set, m.way), true,
-                          Category::Fill, MemSpace::OnPackage,
-                          curTick());
-    if (!onPackage_->tryAccess(wr, pump_.waiter())) {
-        setBlocked(m, true);
-        return;
+    --m.readsInFlight;
+    m.bVec |= (1ULL << idx);
+    if (idx == m.priIdx) {
+        if (auto *sink = m.traceId ? tracer() : nullptr) {
+            sink->asyncInstant(
+                tracePid(), "critical_block", trace::Cat::Copy,
+                m.traceId, when,
+                {{"block", static_cast<double>(idx)}});
+        }
     }
-    setBlocked(m, false);
-    releaseMshr(slot);
+    // Critical-block-first response: targets complete on arrival.
+    for (auto it = m.targets.begin(); it != m.targets.end();) {
+        if (it->blockIdx == idx) {
+            it->req->complete(when + 1);
+            it = m.targets.erase(it);
+        } else {
+            ++it;
+        }
+    }
+    pumpMshr(slot);
 }
 
 void
 LineCacheScheme::releaseMshr(std::size_t slot)
 {
     Mshr &m = mshrs_[slot];
+    if (auto *sink = m.traceId ? tracer() : nullptr) {
+        sink->asyncEnd(
+            tracePid(), "linefill", trace::Cat::Copy, m.traceId,
+            curTick(),
+            {{"latency", static_cast<double>(curTick() - m.startedAt)}});
+    }
+    m.traceId = 0;
     ++m.generation;
     m.valid = false;
     mshrIndex_.erase(m.lineAddr);
     --activeMshrs_;
+    traceMshrCounter();
 }
 
 void
 LineCacheScheme::pumpWriteback(WritebackJob &job)
 {
-    if (!job.readDone && !job.readInFlight) {
+    const std::uint64_t all = allBlocks();
+    // Read the victim's blocks on-package in order...
+    while (job.readsInFlight < params_.maxReadsInFlight &&
+           job.rVec != all) {
+        const auto idx =
+            static_cast<std::uint32_t>(__builtin_ctzll(~job.rVec));
         const std::uint64_t id = job.id;
         auto req = makeRequest(
-            job.hbmLineAddr, false, Category::Writeback,
-            MemSpace::OnPackage, curTick(), [this, id](Tick) {
+            job.hbmLineAddr + static_cast<Addr>(idx) * BlockBytes,
+            false, Category::Writeback, MemSpace::OnPackage, curTick(),
+            [this, id, idx](Tick) {
                 touch();
                 // Look up by id: the job vector may have reallocated.
                 if (WritebackJob *j = findWriteback(id)) {
-                    j->readDone = true;
-                    j->readInFlight = false;
+                    j->bVec |= (1ULL << idx);
+                    --j->readsInFlight;
                 }
             });
-        if (onPackage_->tryAccess(req, pump_.waiter())) {
-            job.readInFlight = true;
-            pump_.progress();
-        }
-        return;
+        if (!onPackage_->tryAccess(req, pump_.waiter()))
+            break;
+        job.rVec |= (1ULL << idx);
+        ++job.readsInFlight;
+        pump_.progress();
     }
-    if (job.readDone) {
-        auto wr = makeRequest(job.ddrLineAddr, true,
-                              Category::Writeback, MemSpace::OffPackage,
-                              curTick());
-        if (offPackage_.tryAccess(wr, pump_.waiter())) {
-            job.id = 0; // Done marker; reaped by tick().
-            pump_.progress();
-        }
+    // ...and write each one off-package once its data is back.
+    for (std::uint64_t ready = job.bVec & ~job.wVec; ready != 0;
+         ready &= ready - 1) {
+        const auto idx =
+            static_cast<std::uint32_t>(__builtin_ctzll(ready));
+        auto wr = makeRequest(
+            job.ddrLineAddr + static_cast<Addr>(idx) * BlockBytes, true,
+            Category::Writeback, MemSpace::OffPackage, curTick());
+        if (!offPackage_.tryAccess(wr, pump_.waiter()))
+            break;
+        job.wVec |= (1ULL << idx);
+        pump_.progress();
     }
 }
 
@@ -326,32 +443,24 @@ LineCacheScheme::tick()
         waiters_.wakeAll();
     }
     // Only backpressured MSHRs are re-pumped: everything else drives
-    // itself forward from the fetch-arrival callback.
+    // itself forward from arrival callbacks (Mshr::blocked).
     for (std::size_t i = 0; i < mshrs_.size(); ++i) {
         Mshr &m = mshrs_[i];
         if (!m.valid || !m.blocked)
             continue;
-        switch (m.state) {
-        case FetchState::PreFetch:
+        if (m.launched)
+            pumpMshr(i);
+        else
             retryLaunch(i);
-            break;
-        case FetchState::Fetch:
-            issueFetch(i);
-            break;
-        case FetchState::Install:
-            tryInstall(i);
-            break;
-        case FetchState::InFlight:
-            break;
-        }
         // Only an accepted request clears the blocked flag.
         if (!m.blocked)
             pump_.progress();
     }
+    const std::uint64_t all = allBlocks();
     for (auto it = writebackJobs_.begin();
          it != writebackJobs_.end();) {
         pumpWriteback(*it);
-        if (it->id == 0)
+        if (it->wVec == all)
             it = writebackJobs_.erase(it);
         else
             ++it;
@@ -392,7 +501,8 @@ LineCacheScheme::collectStats(SystemResults &r) const
     r.writebacks = static_cast<std::uint64_t>(dirtyWritebacks.value());
     if (r.seconds > 0) {
         const double bytes =
-            (dcMisses.value() + dirtyWritebacks.value()) * BlockBytes;
+            (dcMisses.value() + dirtyWritebacks.value()) *
+            params_.lineBytes;
         r.rmhbGBs = bytes / BytesPerGB / r.seconds;
     }
 }

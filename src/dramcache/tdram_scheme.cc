@@ -17,12 +17,24 @@ lineParamsOf(const TdramParams &p)
 {
     LineCacheParams lp;
     lp.capacityBytes = p.capacityBytes;
+    lp.lineBytes = BlockBytes;
     lp.assoc = p.assoc;
     lp.mshrs = p.mshrs;
     lp.targetsPerMshr = p.targetsPerMshr;
+    lp.maxReadsInFlight = 1;
     lp.maxWritebackJobs = p.maxWritebackJobs;
     lp.controllerQueueDepth = p.controllerQueueDepth;
     return lp;
+}
+
+/** The parameters the registry builds TDRAM with from @p cfg. */
+TdramParams
+paramsFor(const SystemConfig &cfg)
+{
+    TdramParams p = cfg.tdram;
+    if (p.capacityBytes == 0)
+        p.capacityBytes = cfg.dcFrames * PageBytes;
+    return p;
 }
 
 } // namespace
@@ -80,31 +92,14 @@ registerTdramScheme(SchemeRegistry &reg)
         "miss detection";
     entry.factory = [](const SchemeBuildContext &ctx)
         -> std::unique_ptr<DramCacheScheme> {
-        TdramParams p = ctx.config.tdram;
-        if (p.capacityBytes == 0)
-            p.capacityBytes = ctx.config.dcFrames * PageBytes;
-        return std::make_unique<TdramScheme>(ctx.sim, "tdram", p,
+        return std::make_unique<TdramScheme>(ctx.sim, "tdram",
+                                             paramsFor(ctx.config),
                                              ctx.offPackage,
                                              ctx.onPackage,
                                              ctx.pageTable);
     };
     entry.validate = [](const SystemConfig &cfg) {
-        auto reject = [](const std::string &msg) {
-            throw harden::SimError(harden::ErrorKind::ConfigError,
-                                   "bad config: " + msg);
-        };
-        if (cfg.tdram.assoc == 0)
-            reject("tdram.assoc must be >= 1");
-        if (cfg.tdram.mshrs == 0)
-            reject("tdram.mshrs must be >= 1");
-        if (cfg.tdram.controllerQueueDepth == 0)
-            reject("tdram.controllerQueueDepth must be >= 1");
-        if (cfg.tdram.capacityBytes %
-                (static_cast<std::uint64_t>(cfg.tdram.assoc) *
-                 BlockBytes) !=
-            0)
-            reject("tdram.capacityBytes must divide evenly into "
-                   "assoc-way sets of 64B blocks");
+        validateLineCache("tdram", lineParamsOf(paramsFor(cfg)));
     };
     entry.requiredOnPackageFrames = [](const SystemConfig &cfg) {
         const std::uint64_t frames =

@@ -3,13 +3,15 @@
  * Scheme-registry tests (docs/SCHEMES.md): the registration contract
  * (idempotence, canonical naming, SchemeKind ordering), the
  * unknown-name error path every CLI shares, the
- * schemeKindFromName()/schemeKindName() round trip, and a
+ * schemeKindFromName()/schemeKindName() round trip, the line-cache
+ * config checks, and a
  * parameterized all-registered-schemes smoke run with invariant
  * checks and the drain audit enabled.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -141,6 +143,67 @@ TEST(SchemeRegistry, UnknownSchemeConfigErrorFromValidate)
         EXPECT_NE(std::string(e.what()).find("not registered"),
                   std::string::npos)
             << e.what();
+    }
+}
+
+/**
+ * Line-cache configs the controller cannot run must fail validate()
+ * with a typed ConfigError naming the field. Zero reads in flight,
+ * writeback jobs or queue entries hang the run; a line size or
+ * capacity that does not divide into sets aborts the scheme
+ * constructor; and a zero target limit contradicts the MSHR, which
+ * always holds the target that allocated it.
+ */
+TEST(SchemeRegistry, LineCacheConfigsThatCannotRunAreRejected)
+{
+    struct Case
+    {
+        SchemeKind scheme;
+        const char *field;
+        std::function<void(SystemConfig &)> set;
+    };
+    const Case cases[] = {
+        {SchemeKind::Tid, "tid.maxReadsInFlight",
+         [](SystemConfig &c) { c.tid.maxReadsInFlight = 0; }},
+        {SchemeKind::Tid, "tid.maxWritebackJobs",
+         [](SystemConfig &c) { c.tid.maxWritebackJobs = 0; }},
+        {SchemeKind::Alloy, "alloy.maxWritebackJobs",
+         [](SystemConfig &c) { c.alloy.maxWritebackJobs = 0; }},
+        {SchemeKind::Tdram, "tdram.maxWritebackJobs",
+         [](SystemConfig &c) { c.tdram.maxWritebackJobs = 0; }},
+        {SchemeKind::Tid, "tid.lineBytes",
+         [](SystemConfig &c) { c.tid.lineBytes = 96; }},
+        {SchemeKind::Tid, "tid.controllerQueueDepth",
+         [](SystemConfig &c) { c.tid.controllerQueueDepth = 0; }},
+        {SchemeKind::Tid, "tid.targetsPerMshr",
+         [](SystemConfig &c) { c.tid.targetsPerMshr = 0; }},
+        {SchemeKind::Tid, "tid.capacityBytes",
+         [](SystemConfig &c) { c.tid.assoc = 3; }},
+        // The capacity the factory derives from dcFrames is checked.
+        {SchemeKind::Tdram, "tdram.capacityBytes",
+         [](SystemConfig &c) { c.tdram.assoc = 3; }},
+    };
+    for (const Case &tc : cases) {
+        SystemConfig cfg;
+        cfg.scheme = tc.scheme;
+        tc.set(cfg);
+        try {
+            cfg.validate();
+            ADD_FAILURE() << tc.field << ": expected ConfigError";
+        } catch (const harden::SimError &e) {
+            EXPECT_EQ(e.diag().kind, harden::ErrorKind::ConfigError)
+                << tc.field;
+            EXPECT_NE(std::string(e.what()).find(tc.field),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // The defaults stay valid.
+    for (SchemeKind k :
+         {SchemeKind::Tid, SchemeKind::Alloy, SchemeKind::Tdram}) {
+        SystemConfig cfg;
+        cfg.scheme = k;
+        EXPECT_NO_THROW(cfg.validate()) << schemeKindName(k);
     }
 }
 
